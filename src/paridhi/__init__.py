@@ -18,15 +18,12 @@ from .aryabhata_sqrt import (
 )
 from .exact_arith import (
     DomainError,
-    ExactInt,
-    ExactRatio,
     RoundingMode,
     RoundingUndecidableError,
     ScaledValue,
     decimal_string,
     floor_div,
     nearest_div,
-    ratio_combine,
     ratio_round,
 )
 from .madhava_formulas import (
@@ -52,7 +49,6 @@ from .madhava_formulas import (
 from .numerals import (
     BhutasamkhyaLexicon,
     DecodeError,
-    KatapayadiTable,
     SyllableToken,
     decode_bhutasamkhya,
     decode_katapayadi,

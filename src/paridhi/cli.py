@@ -239,13 +239,25 @@ def _render_trace(trace: SqrtTrace, fmt: str) -> str:
     return _json_text([dict(zip(headers, row)) for row in rows])
 
 
-def _render_scan_all(
-    n_values: list[int], columns: dict[str, list[int]], fmt: str
+def _scan_all(
+    formula: FormulaId,
+    diameter: int,
+    n_from: int,
+    n_to: int,
+    final_code: str,
+    fmt: str = "table",
+    backend: str = "scaled",
+    frac_digits: int = 40,
 ) -> str:
-    headers = ["n"] + list(columns)
-    rows = [
-        [n] + [columns[name][i] for name in columns] for i, n in enumerate(n_values)
-    ]
+    """The floor, nearest and one final-rounding scan side by side, one row per n."""
+    headers = ["n"]
+    columns = []
+    for code in ("floor", "nearest", final_code):
+        policy = _make_policy(code, backend, frac_digits)
+        results = scan_range(formula, diameter, policy, n_from, n_to)
+        headers.append(code.replace("-", "_"))
+        columns.append([r.circumference for r in results])
+    rows = [list(row) for row in zip(range(n_from, n_to + 1), *columns)]
     if fmt == "csv":
         return _csv_text(headers, rows)
     if fmt == "json":
@@ -272,10 +284,7 @@ def _cmd_sqrt(args) -> str:
 def _cmd_varman(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     ledger = build_ledger(args.diameter, policy, args.terms)
-    if isinstance(policy, ExactFinal):
-        c_value = round_final(ledger.circumference, policy)
-    else:
-        c_value = ledger.circumference
+    c_value = round_final(ledger.circumference, policy)
     out = []
     if args.ledger:
         out.append(render(ledger, args.format))
@@ -299,22 +308,13 @@ def _cmd_circumference(args) -> str:
     return render([result], args.format)
 
 
-def _scan_all_columns(args) -> tuple[list[int], dict[str, list[int]]]:
-    formula = _make_formula(args.formula, args.correction)
-    final_code = f"final-{args.final_mode}"
-    columns: dict[str, list[int]] = {}
-    for code in ("floor", "nearest", final_code):
-        policy = _make_policy(code, args.backend, args.frac_digits)
-        results = scan_range(formula, args.diameter, policy, args.n_from, args.n_to)
-        columns[code.replace("-", "_")] = [r.circumference for r in results]
-    return list(range(args.n_from, args.n_to + 1)), columns
-
-
 def _cmd_scan(args) -> str:
-    if args.policy == "all":
-        n_values, columns = _scan_all_columns(args)
-        return _render_scan_all(n_values, columns, args.format)
     formula = _make_formula(args.formula, args.correction)
+    if args.policy == "all":
+        return _scan_all(
+            formula, args.diameter, args.n_from, args.n_to, f"final-{args.final_mode}",
+            args.format, args.backend, args.frac_digits,
+        )
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     results = scan_range(formula, args.diameter, policy, args.n_from, args.n_to)
     return render(results, args.format)
@@ -366,23 +366,10 @@ def _reproduce_varman_ledger() -> str:
     return render(build_ledger(LEDGER_DIAMETER, FLOOR_EACH_OP), "table")
 
 
-def _scan_table(formula: FormulaId, n_from: int, n_to: int, final_mode: RoundingMode) -> str:
-    n_values = list(range(n_from, n_to + 1))
-    columns = {}
-    for name, policy in (
-        ("floor", FLOOR_EACH_OP),
-        ("nearest", NEAREST_EACH_OP),
-        (f"final_{final_mode.value}", ExactFinal(final_mode, ScaledBackend(40))),
-    ):
-        results = scan_range(formula, TABLE_DIAMETER, policy, n_from, n_to)
-        columns[name] = [r.circumference for r in results]
-    return _render_scan_all(n_values, columns, "table")
-
-
 def _reproduce_f3_fixed_points() -> str:
     rows = []
-    for policy in (FLOOR_EACH_OP, NEAREST_EACH_OP,
-                   ExactFinal(RoundingMode.NEAREST_HALF_UP, ScaledBackend(40))):
+    for code in ("floor", "nearest", "final-nearest"):
+        policy = _make_policy(code)
         report = fixed_point(F3(), TABLE_DIAMETER, policy, window=50, max_terms=10**4)
         rows.append(
             [str(report.policy), str(report.fixed_value), str(report.onset), str(report.method)]
@@ -392,9 +379,9 @@ def _reproduce_f3_fixed_points() -> str:
 
 _REPRODUCERS = {
     "varman-ledger": _reproduce_varman_ledger,
-    "table2": lambda: _scan_table(F1(), 18, 27, RoundingMode.FLOOR),
-    "table3": lambda: _scan_table(F2(CorrectionId.C3), 35, 65, RoundingMode.FLOOR),
-    "table-f4": lambda: _scan_table(F4(), 210, 250, RoundingMode.NEAREST_HALF_UP),
+    "table2": lambda: _scan_all(F1(), TABLE_DIAMETER, 18, 27, "final-floor"),
+    "table3": lambda: _scan_all(F2(CorrectionId.C3), TABLE_DIAMETER, 35, 65, "final-floor"),
+    "table-f4": lambda: _scan_all(F4(), TABLE_DIAMETER, 210, 250, "final-nearest"),
     "f3-fixed-points": _reproduce_f3_fixed_points,
 }
 

@@ -2,8 +2,8 @@
 
 Everything in this package is built on three exact representations:
 
-* ``int`` -- Python's native unbounded integer (aliased ``ExactInt``),
-* ``fractions.Fraction`` -- normalized exact rationals (aliased ``ExactRatio``),
+* ``int`` -- Python's native unbounded integer,
+* ``fractions.Fraction`` -- normalized exact rationals,
 * ``ScaledValue`` -- a decimal fixed-point value (mantissa, scale) that
   carries a guaranteed error bound, used where full rational arithmetic
   would blow up denominators.
@@ -18,9 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-
-ExactInt = int
-ExactRatio = Fraction
 
 
 class DomainError(ValueError):
@@ -56,28 +53,6 @@ def nearest_div(n: int, d: int) -> int:
     if d <= 0:
         raise DomainError(f"nearest_div requires a positive divisor, got {d}")
     return (2 * n + d) // (2 * d)
-
-
-def rounded_div(n: int, d: int, mode: RoundingMode) -> int:
-    """floor_div or nearest_div selected by mode."""
-    if mode is RoundingMode.FLOOR:
-        return floor_div(n, d)
-    return nearest_div(n, d)
-
-
-def ratio_combine(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Combine two exact rationals; result is always normalized."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DomainError("division by zero ratio")
-        return a / b
-    raise DomainError(f"unknown ratio operation {op!r}")
 
 
 def ratio_round(r: Fraction, mode: RoundingMode) -> int:
@@ -164,9 +139,6 @@ class ScaledValue:
     def __sub__(self, other: "ScaledValue") -> "ScaledValue":
         a, b, scale = self._aligned(other)
         return ScaledValue(a - b, scale, self.error_bound + other.error_bound)
-
-    def __neg__(self) -> "ScaledValue":
-        return ScaledValue(-self.mantissa, self.scale, self.error_bound)
 
     def div_int(self, d: int) -> "ScaledValue":
         """Divide by a positive integer, truncating the mantissa.

@@ -17,23 +17,23 @@ the terms stay exact and a single rounding is applied to each partial sum.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from typing import Iterator, Union
 
-from .exact_arith import (
-    DomainError,
-    ScaledValue,
-    floor_div,
-    nearest_div,
-    ratio_round,
-)
+from .exact_arith import DomainError
 from .series_engine import (
+    Arithmetic,
     ExactFinal,
     FloorEachOp,
     NearestEachOp,
     Policy,
     RationalBackend,
+    TermValue,
+    arithmetic,
     build_ledger,
     round_final,
 )
@@ -140,6 +140,13 @@ def correction_fraction(correction: CorrectionId, n: int) -> Fraction:
     return Fraction(n * n + 1, n * (4 * n * n + 5))
 
 
+def _correction(
+    correction: CorrectionId, n: int, diameter: int, a: Arithmetic
+) -> TermValue:
+    f = correction_fraction(correction, n)
+    return a.ratio(4 * diameter * f.numerator, f.denominator)
+
+
 def correction_value(
     correction: CorrectionId, n: int, diameter: int, policy: Policy
 ) -> int | Fraction:
@@ -148,27 +155,22 @@ def correction_value(
     Integer policies return the rounded integer; ExactFinal returns the
     exact ratio.
     """
-    f = correction_fraction(correction, n)
-    numer = 4 * diameter * f.numerator
-    denom = f.denominator
-    if isinstance(policy, FloorEachOp):
-        return floor_div(numer, denom)
-    if isinstance(policy, NearestEachOp):
-        return nearest_div(numer, denom)
-    return Fraction(numer, denom)
+    exact = isinstance(policy, ExactFinal)
+    return _correction(correction, n, diameter, RationalBackend() if exact else policy)
 
 
-def _term_ratio(formula: FormulaId, diameter: int, k: int) -> tuple[int, int]:
-    """Exact (numerator, denominator) of the k-th series term."""
-    if isinstance(formula, F2):
-        return 4 * diameter, 2 * k - 1
+def _numerator(formula: FormulaId, diameter: int) -> int:
+    """The numerator every term of F2, F3 or F4 shares."""
+    return 16 * diameter if isinstance(formula, F4) else 4 * diameter
+
+
+def _denominator(formula: FormulaId, k: int) -> int:
+    """Exact denominator of the k-th term of F2, F3 or F4."""
     if isinstance(formula, F3):
         b = 2 * k + 1
-        return 4 * diameter, b**3 - b
-    if isinstance(formula, F4):
-        b = 2 * k - 1
-        return 16 * diameter, b**5 + 4 * b
-    raise UnsupportedFormulaError("F1 terms come from the series ledger")
+        return b**3 - b
+    b = 2 * k - 1
+    return b**5 + 4 * b if isinstance(formula, F4) else b
 
 
 def _leading(formula: FormulaId, diameter: int) -> int:
@@ -183,127 +185,59 @@ def _validate(diameter: int, n: int) -> None:
         raise DomainError("term count must be positive")
 
 
+def _partial_sums(
+    formula: FormulaId, diameter: int, policy: Policy, n_to: int
+) -> Iterator[tuple[int, TermValue]]:
+    """Yield (n, leading + t_1 - t_2 + ... ± t_n) for n = 1..n_to.
+
+    This is the one loop that sums terms; F2's correction and the final
+    rounding are applied per n by _finish.  Under integer policies F1 stops
+    early, at the ledger's natural termination: every later term is zero.
+    """
+    a = arithmetic(policy)
+    if isinstance(formula, F1):
+        terms = (row.t for row in build_ledger(diameter, policy, max_terms=n_to).rows)
+    else:
+        # The numerator is the same for every term, so it is not recomputed.
+        if isinstance(formula, F2):
+            denominators = range(1, 2 * n_to, 2)
+        else:
+            denominators = map(partial(_denominator, formula), range(1, n_to + 1))
+        terms = map(a.ratio, repeat(_numerator(formula, diameter), n_to), denominators)
+    total = a.seed(_leading(formula, diameter))
+    for n, t in enumerate(terms, 1):
+        total = total + t if n % 2 else total - t
+        yield n, total
+
+
+def _finish(
+    formula: FormulaId, diameter: int, policy: Policy, n: int, total: TermValue
+) -> int:
+    """Attach F2's correction for n terms to a partial sum and round it."""
+    if isinstance(formula, F2):
+        corr = _correction(formula.correction, n, diameter, arithmetic(policy))
+        total = total + corr if n % 2 == 0 else total - corr
+    return round_final(total, policy)
+
+
 def circumference(
     formula: FormulaId, diameter: int, n: int, policy: Policy
 ) -> ComputationResult:
     """Evaluate the formula with n terms under the given policy."""
     _validate(diameter, n)
-    if isinstance(formula, F1):
-        value = _f1_value(diameter, n, policy)
-    elif isinstance(policy, (FloorEachOp, NearestEachOp)):
-        value = _int_sum(formula, diameter, n, policy)
-        if isinstance(formula, F2):
-            corr = correction_value(formula.correction, n, diameter, policy)
-            value += corr if n % 2 == 0 else -corr
-    else:
-        value = _exact_value(formula, diameter, n, policy)
+    [(_, total)] = deque(_partial_sums(formula, diameter, policy, n), maxlen=1)
+    value = _finish(formula, diameter, policy, n, total)
     return ComputationResult(formula, diameter, n, policy, value)
-
-
-def _f1_value(diameter: int, n: int, policy: Policy) -> int:
-    ledger = build_ledger(diameter, policy, max_terms=n)
-    if isinstance(policy, ExactFinal):
-        return round_final(ledger.circumference, policy)
-    return ledger.circumference
-
-
-def _int_sum(formula: FormulaId, diameter: int, n: int, policy: Policy) -> int:
-    floor_mode = isinstance(policy, FloorEachOp)
-    total = _leading(formula, diameter)
-    for k in range(1, n + 1):
-        nu, de = _term_ratio(formula, diameter, k)
-        t = nu // de if floor_mode else (2 * nu + de) // (2 * de)
-        total += t if k % 2 == 1 else -t
-    return total
-
-
-def _exact_value(formula: FormulaId, diameter: int, n: int, policy: ExactFinal) -> int:
-    if isinstance(policy.backend, RationalBackend):
-        total = Fraction(_leading(formula, diameter))
-        for k in range(1, n + 1):
-            nu, de = _term_ratio(formula, diameter, k)
-            total += Fraction(nu, de) if k % 2 == 1 else -Fraction(nu, de)
-        if isinstance(formula, F2):
-            corr = correction_value(formula.correction, n, diameter, policy)
-            total += corr if n % 2 == 0 else -corr
-        return ratio_round(total, policy.final_mode)
-    scale = policy.backend.frac_digits
-    total = ScaledValue.from_int(_leading(formula, diameter), scale)
-    for k in range(1, n + 1):
-        nu, de = _term_ratio(formula, diameter, k)
-        t = ScaledValue.from_ratio(nu, de, scale)
-        total = total + t if k % 2 == 1 else total - t
-    if isinstance(formula, F2):
-        corr = correction_value(formula.correction, n, diameter, policy)
-        cv = ScaledValue.from_ratio(corr.numerator, corr.denominator, scale)
-        total = total + cv if n % 2 == 0 else total - cv
-    return total.round_checked(policy.final_mode)
 
 
 def _running_values(
     formula: FormulaId, diameter: int, policy: Policy, n_to: int
 ) -> Iterator[tuple[int, int]]:
     """Yield (n, circumference) for n = 1..n_to, reusing the partial sum."""
-    if isinstance(formula, F1):
-        yield from _running_f1(diameter, policy, n_to)
-        return
-    is_f2 = isinstance(formula, F2)
-    if isinstance(policy, (FloorEachOp, NearestEachOp)):
-        floor_mode = isinstance(policy, FloorEachOp)
-        total = _leading(formula, diameter)
-        for k in range(1, n_to + 1):
-            nu, de = _term_ratio(formula, diameter, k)
-            t = nu // de if floor_mode else (2 * nu + de) // (2 * de)
-            total += t if k % 2 == 1 else -t
-            value = total
-            if is_f2:
-                corr = correction_value(formula.correction, k, diameter, policy)
-                value += corr if k % 2 == 0 else -corr
-            yield k, value
-        return
-    if isinstance(policy.backend, RationalBackend):
-        total = Fraction(_leading(formula, diameter))
-        for k in range(1, n_to + 1):
-            nu, de = _term_ratio(formula, diameter, k)
-            total += Fraction(nu, de) if k % 2 == 1 else -Fraction(nu, de)
-            value = total
-            if is_f2:
-                corr = correction_value(formula.correction, k, diameter, policy)
-                value = value + corr if k % 2 == 0 else value - corr
-            yield k, ratio_round(value, policy.final_mode)
-        return
-    scale = policy.backend.frac_digits
-    total = ScaledValue.from_int(_leading(formula, diameter), scale)
-    for k in range(1, n_to + 1):
-        nu, de = _term_ratio(formula, diameter, k)
-        t = ScaledValue.from_ratio(nu, de, scale)
-        total = total + t if k % 2 == 1 else total - t
-        value = total
-        if is_f2:
-            corr = correction_value(formula.correction, k, diameter, policy)
-            cv = ScaledValue.from_ratio(corr.numerator, corr.denominator, scale)
-            value = value + cv if k % 2 == 0 else value - cv
-        yield k, value.round_checked(policy.final_mode)
-
-
-def _running_f1(diameter: int, policy: Policy, n_to: int) -> Iterator[tuple[int, int]]:
-    ledger = build_ledger(diameter, policy, max_terms=n_to)
-    if isinstance(policy, ExactFinal):
-        total = None
-        for row in ledger.rows:
-            signed = row.t if row.sign > 0 else -row.t
-            total = signed if total is None else total + signed
-            yield row.k, round_final(total, policy)
-        return
-    total = 0
-    last_k = 0
-    for row in ledger.rows:
-        total += row.sign * row.t
-        last_k = row.k
-        yield row.k, total
-    # Natural termination reached: all later terms are zero.
-    for n in range(last_k + 1, n_to + 1):
-        yield n, total
+    for n, total in _partial_sums(formula, diameter, policy, n_to):
+        value = _finish(formula, diameter, policy, n, total)
+        yield n, value
+    yield from zip(range(n + 1, n_to + 1), repeat(value))  # F1 past termination
 
 
 def scan_range(
@@ -335,10 +269,11 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
     if diameter <= 0:
         raise DomainError("diameter must be positive")
     factor = 1 if isinstance(policy, FloorEachOp) else 2
+    numerator = factor * _numerator(formula, diameter)
 
     def vanished(n: int) -> bool:
-        nu, de = _term_ratio(formula, diameter, n)
-        return factor * nu < de  # term < 1 (floor) or term < 1/2 (nearest)
+        # term < 1 (floor) or term < 1/2 (nearest)
+        return numerator < _denominator(formula, n)
 
     hi = 1
     while not vanished(hi):

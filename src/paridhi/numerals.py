@@ -18,7 +18,7 @@ changes.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -64,15 +64,6 @@ class SyllableToken:
         return self.vowel is not None
 
 
-@dataclass(frozen=True)
-class KatapayadiTable:
-    values: Mapping[str, int] = field(default_factory=lambda: KATAPAYADI_VALUES)
-    standalone_vowel_is_zero: bool = True
-
-
-DEFAULT_TABLE = KatapayadiTable()
-
-
 def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text.strip().lower())
 
@@ -113,35 +104,28 @@ def _coerce_tokens(tokens: Iterable[SyllableToken | str]) -> list[SyllableToken]
     return [t if isinstance(t, SyllableToken) else parse_syllable(t) for t in tokens]
 
 
-def katapayadi_digits(
-    tokens: Sequence[SyllableToken | str], table: KatapayadiTable = DEFAULT_TABLE
-) -> str:
-    """Digit string in written (units-first) order, one digit per valued token."""
+def katapayadi_digits(tokens: Sequence[SyllableToken | str]) -> str:
+    """Digit string in written (units-first) order, one digit per valued token.
+
+    A standalone vowel counts as 0.
+    """
     digits = []
     for token in _coerce_tokens(tokens):
         if not token.bears_digit:
             continue  # syllable-final consonants carry no value
         if not token.consonant_cluster:
-            if not table.standalone_vowel_is_zero:
-                raise DecodeError(f"standalone vowel token {token.text!r}")
             digits.append("0")
             continue
-        consonant = token.consonant_cluster[-1]
-        if consonant not in table.values:
-            raise DecodeError(
-                f"consonant {consonant!r} in token {token.text!r} has no value"
-            )
-        digits.append(str(table.values[consonant]))
+        # parse_syllable only emits consonants listed in KATAPAYADI_VALUES
+        digits.append(str(KATAPAYADI_VALUES[token.consonant_cluster[-1]]))
     if not digits:
         raise DecodeError("no digit-bearing syllables in input")
     return "".join(digits)
 
 
-def decode_katapayadi(
-    tokens: Sequence[SyllableToken | str], table: KatapayadiTable = DEFAULT_TABLE
-) -> int:
+def decode_katapayadi(tokens: Sequence[SyllableToken | str]) -> int:
     """Decode syllables to an integer (digit order reversed, units first)."""
-    return int(katapayadi_digits(tokens, table)[::-1])
+    return int(katapayadi_digits(tokens)[::-1])
 
 
 def encode_katapayadi(n: int) -> list[SyllableToken]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .exact_arith import DomainError, RoundingMode, ratio_round
 
@@ -25,7 +26,7 @@ class InsufficientPrecisionError(DomainError):
 
 @dataclass(frozen=True)
 class PiReference:
-    digits: str = PI_DIGIT_STRING
+    digits: ClassVar[str] = PI_DIGIT_STRING
 
     def as_ratio(self, places: int) -> Fraction:
         """Truncation of the reference to `places` fractional digits."""

@@ -15,12 +15,19 @@ handled:
                       integer floor root) or by ScaledValue fixed-point
                       (seeded with the root truncated to frac_digits
                       decimal places).
+
+Each integer policy and each ExactFinal backend carries its own arithmetic:
+seed(n) makes the exact integer n a value, root(radicand) is the ledger's
+seed root, ratio(n, d) is the term n/d and div(x, d) divides a value by an
+integer.  arithmetic(policy) picks the object; round_final applies the one
+final rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Union
 
 from .aryabhata_sqrt import isqrt, isqrt_nearest, sqrt_scaled
@@ -36,31 +43,75 @@ from .exact_arith import (
 
 @dataclass(frozen=True)
 class FloorEachOp:
+    """Integer values; every division keeps only the integer part."""
+
+    seed = staticmethod(int)
+    ratio = div = staticmethod(floor_div)
+
+    def root(self, radicand: int) -> int:
+        return isqrt(radicand)[0]
+
     def __str__(self) -> str:
         return "floor"
 
 
 @dataclass(frozen=True)
 class NearestEachOp:
+    """Integer values; every division rounds half-up."""
+
+    seed = staticmethod(int)
+    ratio = div = staticmethod(nearest_div)
+
+    def root(self, radicand: int) -> int:
+        return isqrt_nearest(radicand)
+
     def __str__(self) -> str:
         return "nearest"
 
 
 @dataclass(frozen=True)
 class RationalBackend:
+    """Exact fractions, seeded with the integer floor root."""
+
+    seed = staticmethod(Fraction)
+    ratio = staticmethod(Fraction)
+
+    def root(self, radicand: int) -> Fraction:
+        return Fraction(isqrt(radicand)[0])
+
+    @staticmethod
+    def div(x: Fraction, d: int) -> Fraction:
+        return x / d
+
     def __str__(self) -> str:
         return "rational"
 
 
 @dataclass(frozen=True)
 class ScaledBackend:
+    """ScaledValue fixed point, seeded with the root to frac_digits places."""
+
     frac_digits: int = 40
+
+    def seed(self, n: int) -> ScaledValue:
+        return ScaledValue.from_int(n, self.frac_digits)
+
+    def root(self, radicand: int) -> ScaledValue:
+        return sqrt_scaled(radicand, self.frac_digits)
+
+    def ratio(self, n: int, d: int) -> ScaledValue:
+        return ScaledValue.from_ratio(n, d, self.frac_digits)
+
+    @staticmethod
+    def div(x: ScaledValue, d: int) -> ScaledValue:
+        return x.div_int(d)
 
     def __str__(self) -> str:
         return f"scaled({self.frac_digits})"
 
 
 Backend = Union[RationalBackend, ScaledBackend]
+Arithmetic = Union[FloorEachOp, NearestEachOp, RationalBackend, ScaledBackend]
 
 
 @dataclass(frozen=True)
@@ -98,8 +149,9 @@ class SeriesLedger:
     circumference: TermValue  # odd_sum - even_sum, exact under ExactFinal
 
 
-def _int_divider(policy: Policy):
-    return floor_div if isinstance(policy, FloorEachOp) else nearest_div
+def arithmetic(policy: Policy) -> Arithmetic:
+    """The object that seeds, divides and forms terms under the policy."""
+    return policy.backend if isinstance(policy, ExactFinal) else policy
 
 
 def build_ledger(
@@ -116,66 +168,34 @@ def build_ledger(
         raise DomainError("diameter must be positive")
     if max_terms is not None and max_terms < 1:
         raise DomainError("max_terms must be positive")
-    radicand = 12 * diameter * diameter
-    if isinstance(policy, ExactFinal):
-        if max_terms is None:
-            raise DomainError("ExactFinal policy needs an explicit max_terms")
-        return _build_exact(diameter, policy, radicand, max_terms)
-    div = _int_divider(policy)
-    x = isqrt(radicand)[0] if isinstance(policy, FloorEachOp) else isqrt_nearest(radicand)
+    if isinstance(policy, ExactFinal) and max_terms is None:
+        raise DomainError("ExactFinal policy needs an explicit max_terms")
+    a = arithmetic(policy)
+    x = a.root(12 * diameter * diameter)
+    odd = even = a.seed(0)
     rows: list[LedgerRow] = []
-    odd = even = 0
-    k = 1
-    while max_terms is None or k <= max_terms:
+    for k in count(1) if max_terms is None else range(1, max_terms + 1):
         sign = 1 if k % 2 else -1
-        t = div(x, 2 * k - 1)
-        rows.append(LedgerRow(k, x, sign, t))
-        if sign > 0:
-            odd += t
-        else:
-            even += t
-        if x == 0:
-            break
-        x = div(x, 3)
-        k += 1
-    return SeriesLedger(diameter, policy, tuple(rows), odd, even, odd - even)
-
-
-def _build_exact(
-    diameter: int, policy: ExactFinal, radicand: int, max_terms: int
-) -> SeriesLedger:
-    backend = policy.backend
-    if isinstance(backend, RationalBackend):
-        x: TermValue = Fraction(isqrt(radicand)[0])
-        odd: TermValue = Fraction(0)
-        even: TermValue = Fraction(0)
-
-        def div_by(v, d):
-            return v / d
-
-    else:
-        x = sqrt_scaled(radicand, backend.frac_digits)
-        odd = ScaledValue.from_int(0, backend.frac_digits)
-        even = ScaledValue.from_int(0, backend.frac_digits)
-
-        def div_by(v, d):
-            return v.div_int(d)
-
-    rows: list[LedgerRow] = []
-    for k in range(1, max_terms + 1):
-        sign = 1 if k % 2 else -1
-        t = div_by(x, 2 * k - 1)
+        t = a.div(x, 2 * k - 1)
         rows.append(LedgerRow(k, x, sign, t))
         if sign > 0:
             odd = odd + t
         else:
             even = even + t
-        x = div_by(x, 3)
+        if x == 0:  # only integer policies reach zero
+            break
+        x = a.div(x, 3)
     return SeriesLedger(diameter, policy, tuple(rows), odd, even, odd - even)
 
 
-def round_final(value: TermValue, policy: ExactFinal) -> int:
-    """Apply an ExactFinal policy's single final rounding to an exact value."""
+def round_final(value: TermValue, policy: Policy) -> int:
+    """The policy's final rounding; integer policies' values pass unchanged.
+
+    The Scaled backend verifies its error bound clears the rounding
+    boundary and raises RoundingUndecidableError otherwise.
+    """
+    if isinstance(value, int):
+        return value
     if isinstance(value, ScaledValue):
         return value.round_checked(policy.final_mode)
     return ratio_round(value, policy.final_mode)
@@ -184,13 +204,5 @@ def round_final(value: TermValue, policy: ExactFinal) -> int:
 def varman_circumference(
     diameter: int, policy: Policy, max_terms: int | None = None
 ) -> int:
-    """The circumference of the ledger as an integer.
-
-    Under ExactFinal this is the one final rounding of O - E; the Scaled
-    backend verifies its error bound clears the rounding boundary and
-    raises RoundingUndecidableError otherwise.
-    """
-    ledger = build_ledger(diameter, policy, max_terms)
-    if isinstance(policy, ExactFinal):
-        return round_final(ledger.circumference, policy)
-    return ledger.circumference
+    """The circumference O - E of the ledger, rounded once by round_final."""
+    return round_final(build_ledger(diameter, policy, max_terms).circumference, policy)

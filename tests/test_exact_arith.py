@@ -13,7 +13,6 @@ from paridhi.exact_arith import (
     decimal_string,
     floor_div,
     nearest_div,
-    ratio_combine,
     ratio_round,
 )
 
@@ -80,19 +79,8 @@ class TestNearestDiv:
 
 
 class TestRatioCombine:
-    def test_add(self):
-        assert ratio_combine(Fraction(1, 3), Fraction(1, 5), "add") == Fraction(8, 15)
-
     def test_normalized_on_construction(self):
         assert Fraction(4, 6) == Fraction(2, 3)
-
-    def test_division_by_zero(self):
-        with pytest.raises(DomainError):
-            ratio_combine(Fraction(1), Fraction(0), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(DomainError):
-            ratio_combine(Fraction(1), Fraction(1), "pow")
 
     def test_38_term_alternating_sum(self):
         # independent rational summation of X * sum(+-1/((2k-1) 3^(k-1)))
@@ -100,19 +88,8 @@ class TestRatioCombine:
         total = Fraction(0)
         for k in range(1, 39):
             term = Fraction(x, (2 * k - 1) * 3 ** (k - 1))
-            total = ratio_combine(total, term, "add" if k % 2 == 1 else "sub")
+            total = total + term if k % 2 == 1 else total - term
         assert ratio_round(total, FLOOR) == 314159265358979323
-
-    @given(st.fractions(), st.fractions(), st.fractions())
-    def test_add_mul_commutative_associative(self, a, b, c):
-        assert ratio_combine(a, b, "add") == ratio_combine(b, a, "add")
-        assert ratio_combine(a, b, "mul") == ratio_combine(b, a, "mul")
-        assert ratio_combine(ratio_combine(a, b, "add"), c, "add") == ratio_combine(
-            a, ratio_combine(b, c, "add"), "add"
-        )
-        assert ratio_combine(ratio_combine(a, b, "mul"), c, "mul") == ratio_combine(
-            a, ratio_combine(b, c, "mul"), "mul"
-        )
 
 
 class TestRatioRound:

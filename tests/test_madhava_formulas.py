@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paridhi.exact_arith import RoundingMode, nearest_div, ratio_round
+from paridhi.exact_arith import RoundingMode, RoundingUndecidableError, nearest_div, ratio_round
 from paridhi.madhava_formulas import (
     F1,
     F2,
@@ -121,6 +122,14 @@ class TestScanRange:
         results = scan_range(formula, D, policy, 3, 12)
         for result in results:
             assert result == circumference(formula, D, result.n, policy)
+
+    @pytest.mark.parametrize("policy", [FLOOR_EACH_OP, NEAREST_EACH_OP])
+    def test_f1_past_natural_termination(self, policy):
+        # the 10**17 ledger ends after 38 rows; later rows repeat its sum
+        results = scan_range(F1(), 10**17, policy, 36, 45)
+        assert [r.n for r in results] == list(range(36, 46))
+        for result in results:
+            assert result == circumference(F1(), 10**17, result.n, policy)
 
     def test_range_validation(self):
         with pytest.raises(Exception):
@@ -259,3 +268,60 @@ class TestBackendAgreement:
         scaled = scan_range(formula, D, ExactFinal(mode, ScaledBackend(40)), 1, 200)
         rational = scan_range(formula, D, ExactFinal(mode, RationalBackend()), 1, 200)
         assert [r.circumference for r in scaled] == [r.circumference for r in rational]
+
+
+def _oracle(formula, diameter, n, mode, round_each):
+    """Circumferences for 1..n terms, summed term by term in plain Fractions.
+
+    round_each rounds every term and every correction (the integer
+    policies); otherwise only the final sum is rounded.
+    """
+    if mode is FLOOR:
+        rnd = math.floor
+    else:
+        def rnd(q):
+            return math.floor(q + Fraction(1, 2))
+    each = rnd if round_each else Fraction
+    total = Fraction(3 * diameter if isinstance(formula, F3) else 0)
+    values = []
+    for k in range(1, n + 1):
+        if isinstance(formula, F2):
+            term = Fraction(4 * diameter, 2 * k - 1)
+        elif isinstance(formula, F3):
+            term = Fraction(4 * diameter, (2 * k + 1) ** 3 - (2 * k + 1))
+        else:
+            term = Fraction(16 * diameter, (2 * k - 1) ** 5 + 4 * (2 * k - 1))
+        total += each(term) if k % 2 else -each(term)
+        value = total
+        if isinstance(formula, F2):
+            f = {
+                CorrectionId.C1: Fraction(1, 4 * k),
+                CorrectionId.C2: Fraction(k, 4 * k * k + 1),
+                CorrectionId.C3: Fraction(k * k + 1, k * (4 * k * k + 5)),
+            }[formula.correction]
+            corr = each(4 * diameter * f)
+            value = total + corr if k % 2 == 0 else total - corr
+        values.append(rnd(value))
+    return values
+
+
+class TestOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**18),
+        st.sampled_from([F2(c) for c in CorrectionId] + [F3(), F4()]),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([FLOOR, NEAREST]),
+    )
+    def test_every_policy_matches_a_fraction_oracle(self, diameter, formula, n, mode):
+        integer = FLOOR_EACH_OP if mode is FLOOR else NEAREST_EACH_OP
+        for policy, round_each in ((integer, True), (ExactFinal(mode, RationalBackend()), False)):
+            want = _oracle(formula, diameter, n, mode, round_each)
+            assert circumference(formula, diameter, n, policy).circumference == want[-1]
+            scan = scan_range(formula, diameter, policy, 1, n)
+            assert [r.circumference for r in scan] == want
+        try:
+            scaled = circumference(formula, diameter, n, ExactFinal(mode, ScaledBackend(40)))
+        except RoundingUndecidableError:
+            return
+        assert scaled.circumference == want[-1]

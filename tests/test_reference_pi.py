@@ -7,6 +7,7 @@ from paridhi.exact_arith import DomainError, RoundingMode
 from paridhi.reference_pi import (
     PI,
     InsufficientPrecisionError,
+    PiReference,
     matching_decimal_places,
     true_circumference,
 )
@@ -19,6 +20,12 @@ D = 9 * 10**11
 class TestPiReference:
     def test_digit_string(self):
         assert PI.digits == "3.14159265358979323846"
+
+    def test_digits_cannot_be_replaced(self):
+        # every method reads the stored 20-place value, so another digit
+        # string would be silently ignored
+        with pytest.raises(TypeError):
+            PiReference("3.0")
 
     def test_full_ratio(self):
         assert PI.as_ratio(20) == Fraction(314159265358979323846, 10**20)
