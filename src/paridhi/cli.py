@@ -1,7 +1,9 @@
 """Command-line front-end: every operation and every reference table.
 
-All integers are read and written as plain decimal strings; scientific
-notation is rejected so no value ever passes through floating point.
+Every integer argument and flag is read as a plain decimal integer (ASCII
+digits with an optional leading '-'); exponents, dots, underscores, '+',
+spaces and non-ASCII digits are rejected, so no value ever passes through
+floating point.
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 """
 
@@ -13,7 +15,6 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 from .aryabhata_sqrt import SqrtTrace, isqrt, isqrt_nearest, isqrt_traced, sqrt_scaled
 from .exact_arith import DomainError, RoundingMode, ScaledValue, decimal_string
@@ -22,7 +23,6 @@ from .madhava_formulas import (
     F2,
     F3,
     F4,
-    ComputationResult,
     ConvergenceReport,
     CorrectionId,
     FormulaId,
@@ -99,98 +99,89 @@ def _cell(value) -> str:
         return str(value)
     if isinstance(value, ScaledValue):
         return value.decimal(6)
-    if isinstance(value, Fraction):
-        return decimal_string(value, 6)
-    return str(value)
+    return decimal_string(value, 6)
 
 
-def _aligned(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(headers[i]), max((len(r[i]) for r in rows), default=0))
-        for i in range(len(headers))
-    ]
-    lines = [" | ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip()]
-    for r in rows:
-        lines.append(" | ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _aligned(headers: list[str], rows: list[list]) -> str:
+    cells = [[str(c) for c in row] for row in [headers, *rows]]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join(
+        " | ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in cells
+    )
 
 
-def _csv_text(headers: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(fmt: str, headers: list[str], rows: list[list], table) -> str:
+    """The one writer: CSV or JSON records of the rows, else `table(headers, rows)`."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt == "json":
+        records = [dict(zip(headers, row)) for row in rows]
+        return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+    return table(headers, rows)
 
 
-def _json_text(records: list[dict]) -> str:
-    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+LEDGER_HEADERS = ["k", "x_k", "divisor", "sign", "t_k"]
+RESULT_HEADERS = ["formula", "correction", "diameter", "n", "policy", "circumference"]
+TRACE_HEADERS = ["place", "working", "divisor_or_square", "digit", "subtracted"]
 
 
 def _ledger_rows(ledger: SeriesLedger) -> list[list]:
-    return [
-        [row.k, _cell(row.x), 2 * row.k - 1, row.sign, _cell(row.t)]
-        for row in ledger.rows
-    ]
+    return [[row.k, _cell(row.x), 2 * row.k - 1, row.sign, _cell(row.t)] for row in ledger.rows]
+
+
+def _ledger_table(headers: list[str], rows: list[list]) -> str:
+    return "k | x_k | div | sign | t_k\n" + "".join(
+        f"{k} | {x} | (÷{d}) | {'+' if sign > 0 else '-'} | {t}\n" for k, x, d, sign, t in rows
+    )
+
+
+def _result_rows(results) -> list[list]:
+    return [[record[h] for h in RESULT_HEADERS] for record in (r.record() for r in results)]
+
+
+def _result_table(headers: list[str], rows: list[list]) -> str:
+    return _aligned(["n", "circumference"], [[n, c] for _, _, _, n, _, c in rows]) if rows else ""
+
+
+def _key_values(headers: list[str], rows: list[list]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in zip(headers, rows[0]))
 
 
 def render(results, fmt: str = "table") -> str:
     """Render results (scan lists, ledgers, traces, reports) as text."""
     if isinstance(results, SeriesLedger):
-        if fmt == "table":
-            lines = ["k | x_k | div | sign | t_k"]
-            for row in results.rows:
-                sign = "+" if row.sign > 0 else "-"
-                lines.append(
-                    f"{row.k} | {_cell(row.x)} | (÷{2 * row.k - 1}) | {sign} | {_cell(row.t)}"
-                )
-            return "\n".join(lines) + "\n"
-        headers = ["k", "x_k", "divisor", "sign", "t_k"]
-        if fmt == "csv":
-            return _csv_text(headers, _ledger_rows(results))
-        return _json_text(
-            [dict(zip(headers, row)) for row in _ledger_rows(results)]
-        )
+        return _write(fmt, LEDGER_HEADERS, _ledger_rows(results), _ledger_table)
     if isinstance(results, SqrtTrace):
-        return _render_trace(results, fmt)
+        return _write(fmt, TRACE_HEADERS, _trace_rows(results), lambda *_: _worksheet(results))
     if isinstance(results, ConvergenceReport):
-        return _render_report(results, fmt)
-    return _render_result_list(list(results), fmt)
+        record = {
+            "formula": formula_code(results.formula),
+            "correction": correction_code(results.formula),
+            "diameter": results.diameter,
+            "policy": str(results.policy),
+            "fixed_value": results.fixed_value,
+            "onset": results.onset,
+            "method": str(results.method),
+            "max_terms_examined": results.max_terms_examined,
+        }
+        return _write(fmt, list(record), [list(record.values())], _key_values)
+    return _write(fmt, RESULT_HEADERS, _result_rows(results), _result_table)
 
 
-def _render_result_list(results: list[ComputationResult], fmt: str) -> str:
-    records = [r.record() for r in results]
-    headers = ["formula", "correction", "diameter", "n", "policy", "circumference"]
-    if fmt == "csv":
-        return _csv_text(headers, [[rec[h] for h in headers] for rec in records])
-    if fmt == "json":
-        return _json_text(records)
-    if not records:
-        return ""
-    rows = [[str(rec["n"]), str(rec["circumference"])] for rec in records]
-    return _aligned(["n", "circumference"], rows)
+def _trace_rows(trace: SqrtTrace) -> list[list]:
+    return [
+        [s.place_kind, s.working_value, s.divisor_or_square,
+         "" if s.digit_emitted is None else s.digit_emitted, s.subtracted]
+        for s in trace.steps
+    ]
 
 
-def _render_report(report: ConvergenceReport, fmt: str) -> str:
-    record = {
-        "formula": formula_code(report.formula),
-        "correction": correction_code(report.formula),
-        "diameter": report.diameter,
-        "policy": str(report.policy),
-        "fixed_value": report.fixed_value,
-        "onset": report.onset,
-        "method": str(report.method),
-        "max_terms_examined": report.max_terms_examined,
-    }
-    if fmt == "csv":
-        headers = list(record)
-        return _csv_text(headers, [[record[h] for h in headers]])
-    if fmt == "json":
-        return _json_text([record])
-    return "".join(f"{key} = {value}\n" for key, value in record.items())
-
-
-def _trace_worksheet(trace: SqrtTrace) -> tuple[list[str], list[list[str]]]:
+def _worksheet(trace: SqrtTrace) -> str:
+    """The classical long-division worksheet of a digit-pair square root."""
     rows = []
     root_so_far = ""
     for step in trace.steps:
@@ -198,45 +189,21 @@ def _trace_worksheet(trace: SqrtTrace) -> tuple[list[str], list[list[str]]]:
             root_so_far += str(step.digit_emitted)
             note = f"floor(sqrt({step.working_value})) = {step.digit_emitted}"
             rows.append([f"{step.working_value} -", root_so_far, note])
-            rows.append([str(step.subtracted), "", f"{step.digit_emitted}^2 = {step.subtracted}"])
+            rows.append([step.subtracted, "", f"{step.digit_emitted}^2 = {step.subtracted}"])
         elif step.place_kind == "even":
             prev_root = step.divisor_or_square // 2
             root_so_far += str(step.digit_emitted)
             note = f"floor({step.working_value}/(2*{prev_root})) = {step.digit_emitted}"
             rows.append([f"{step.working_value} -", root_so_far, note])
             rows.append(
-                [str(step.subtracted), "", f"{step.digit_emitted}*(2*{prev_root}) = {step.subtracted}"]
+                [step.subtracted, "", f"{step.digit_emitted}*(2*{prev_root}) = {step.subtracted}"]
             )
         else:
             rows.append([f"{step.working_value} -", "", ""])
             digit = root_so_far[-1] if root_so_far else "?"
-            rows.append([str(step.subtracted), "", f"{digit}^2 = {step.subtracted}"])
-    return ["computations", "result", "notes"], rows
-
-
-def _render_trace(trace: SqrtTrace, fmt: str) -> str:
-    if fmt == "table":
-        headers, rows = _trace_worksheet(trace)
-        table = _aligned(headers, rows)
-        return (
-            f"n = {trace.input}\n"
-            + table
-            + f"root = {trace.root}\nremainder = {trace.remainder}\n"
-        )
-    headers = ["place", "working", "divisor_or_square", "digit", "subtracted"]
-    rows = [
-        [
-            s.place_kind,
-            s.working_value,
-            s.divisor_or_square,
-            "" if s.digit_emitted is None else s.digit_emitted,
-            s.subtracted,
-        ]
-        for s in trace.steps
-    ]
-    if fmt == "csv":
-        return _csv_text(headers, rows)
-    return _json_text([dict(zip(headers, row)) for row in rows])
+            rows.append([step.subtracted, "", f"{digit}^2 = {step.subtracted}"])
+    table = _aligned(["computations", "result", "notes"], rows)
+    return f"n = {trace.input}\n{table}root = {trace.root}\nremainder = {trace.remainder}\n"
 
 
 def _scan_all(
@@ -258,11 +225,7 @@ def _scan_all(
         headers.append(code.replace("-", "_"))
         columns.append([r.circumference for r in results])
     rows = [list(row) for row in zip(range(n_from, n_to + 1), *columns)]
-    if fmt == "csv":
-        return _csv_text(headers, rows)
-    if fmt == "json":
-        return _json_text([dict(zip(headers, row)) for row in rows])
-    return _aligned(headers, [[str(c) for c in row] for row in rows])
+    return _write(fmt, headers, rows, _aligned)
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +247,24 @@ def _cmd_sqrt(args) -> str:
 def _cmd_varman(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     ledger = build_ledger(args.diameter, policy, args.terms)
-    c_value = round_final(ledger.circumference, policy)
-    out = []
-    if args.ledger:
-        out.append(render(ledger, args.format))
-        if args.format != "table":
-            return "".join(out)
-    out.append(
+    summary = (
         f"terms = {len(ledger.rows)}\n"
         f"O = {_cell(ledger.odd_sum)}\n"
         f"E = {_cell(ledger.even_sum)}\n"
-        f"C = {c_value}\n"
+        f"C = {round_final(ledger.circumference, policy)}\n"
     )
-    return "".join(out)
+    if not args.ledger:
+        return summary
+    return _write(args.format, LEDGER_HEADERS, _ledger_rows(ledger),
+                  lambda headers, rows: _ledger_table(headers, rows) + summary)
 
 
 def _cmd_circumference(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     result = circumference(formula, args.diameter, args.terms, policy)
-    if args.format == "table":
-        return f"{result.circumference}\n"
-    return render([result], args.format)
+    return _write(args.format, RESULT_HEADERS, _result_rows([result]),
+                  lambda *_: f"{result.circumference}\n")
 
 
 def _cmd_scan(args) -> str:
@@ -371,9 +330,7 @@ def _reproduce_f3_fixed_points() -> str:
     for code in ("floor", "nearest", "final-nearest"):
         policy = _make_policy(code)
         report = fixed_point(F3(), TABLE_DIAMETER, policy, window=50, max_terms=10**4)
-        rows.append(
-            [str(report.policy), str(report.fixed_value), str(report.onset), str(report.method)]
-        )
+        rows.append([report.policy, report.fixed_value, report.onset, report.method])
     return _aligned(["policy", "fixed_value", "onset", "method"], rows)
 
 
@@ -394,16 +351,22 @@ def _cmd_reproduce(args) -> str:
 # parser
 
 
+FORMATS = ["table", "csv", "json"]
+POLICY_CHOICES = ["floor", "nearest", "final-floor", "final-nearest"]
+
+
 def _add_backend_flags(sub) -> None:
     sub.add_argument("--backend", choices=["scaled", "rational"], default="scaled")
-    sub.add_argument("--frac-digits", type=int, default=40)
+    sub.add_argument("--frac-digits", type=_plain_int, default=40)
+    sub.add_argument("--format", choices=FORMATS, default="table")
 
 
-def _add_format_flag(sub) -> None:
-    sub.add_argument("--format", choices=["table", "csv", "json"], default="table")
-
-
-POLICY_CHOICES = ["floor", "nearest", "final-floor", "final-nearest"]
+def _add_series_flags(sub, policies: list[str]) -> None:
+    sub.add_argument("--formula", choices=["f1", "f2", "f3", "f4"], required=True)
+    sub.add_argument("--correction", choices=["c1", "c2", "c3"], default="c3")
+    sub.add_argument("--diameter", type=_plain_int, required=True)
+    sub.add_argument("--policy", choices=policies, required=True)
+    _add_backend_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,51 +377,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_plain_int)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--round", choices=["floor", "nearest"], default="floor")
-    p.add_argument("--frac-digits", type=int, default=None)
-    _add_format_flag(p)
+    p.add_argument("--frac-digits", type=_plain_int, default=None)
+    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_sqrt)
 
     p = subs.add_parser("varman", help="root-12 series ledger and circumference")
     p.add_argument("--diameter", type=_plain_int, required=True)
     p.add_argument("--policy", choices=POLICY_CHOICES, default="floor")
-    p.add_argument("--terms", type=int, default=None)
+    p.add_argument("--terms", type=_plain_int, default=None)
     p.add_argument("--ledger", action="store_true")
     _add_backend_flags(p)
-    _add_format_flag(p)
     p.set_defaults(handler=_cmd_varman)
 
     p = subs.add_parser("circumference", help="evaluate one formula at n terms")
-    p.add_argument("--formula", choices=["f1", "f2", "f3", "f4"], required=True)
-    p.add_argument("--correction", choices=["c1", "c2", "c3"], default="c3")
-    p.add_argument("--diameter", type=_plain_int, required=True)
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--policy", choices=POLICY_CHOICES, required=True)
-    _add_backend_flags(p)
-    _add_format_flag(p)
+    _add_series_flags(p, POLICY_CHOICES)
+    p.add_argument("--terms", type=_plain_int, required=True)
     p.set_defaults(handler=_cmd_circumference)
 
     p = subs.add_parser("scan", help="evaluate a formula over a range of n")
-    p.add_argument("--formula", choices=["f1", "f2", "f3", "f4"], required=True)
-    p.add_argument("--correction", choices=["c1", "c2", "c3"], default="c3")
-    p.add_argument("--diameter", type=_plain_int, required=True)
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--policy", choices=POLICY_CHOICES + ["all"], required=True)
+    _add_series_flags(p, POLICY_CHOICES + ["all"])
+    p.add_argument("--from", dest="n_from", type=_plain_int, required=True)
+    p.add_argument("--to", dest="n_to", type=_plain_int, required=True)
     p.add_argument("--final-mode", choices=["floor", "nearest"], default="nearest",
                    help="final rounding used for the third column of --policy all")
-    _add_backend_flags(p)
-    _add_format_flag(p)
     p.set_defaults(handler=_cmd_scan)
 
     p = subs.add_parser("fixed-point", help="detect the value a series settles on")
-    p.add_argument("--formula", choices=["f1", "f2", "f3", "f4"], required=True)
-    p.add_argument("--correction", choices=["c1", "c2", "c3"], default="c3")
-    p.add_argument("--diameter", type=_plain_int, required=True)
-    p.add_argument("--policy", choices=POLICY_CHOICES, required=True)
-    p.add_argument("--window", type=int, default=50)
-    p.add_argument("--max-terms", type=int, default=10**4)
-    _add_backend_flags(p)
-    _add_format_flag(p)
+    _add_series_flags(p, POLICY_CHOICES)
+    p.add_argument("--window", type=_plain_int, default=50)
+    p.add_argument("--max-terms", type=_plain_int, default=10**4)
     p.set_defaults(handler=_cmd_fixed_point)
 
     p = subs.add_parser("onset", help="smallest n whose rounded term vanishes")

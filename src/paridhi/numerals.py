@@ -17,6 +17,7 @@ changes.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -116,8 +117,10 @@ def katapayadi_digits(tokens: Sequence[SyllableToken | str]) -> str:
         if not token.consonant_cluster:
             digits.append("0")
             continue
-        # parse_syllable only emits consonants listed in KATAPAYADI_VALUES
-        digits.append(str(KATAPAYADI_VALUES[token.consonant_cluster[-1]]))
+        value = KATAPAYADI_VALUES.get(token.consonant_cluster[-1])
+        if value is None:  # only a hand-built token can carry an unlisted consonant
+            raise DecodeError(f"consonant {token.consonant_cluster[-1]!r} has no value")
+        digits.append(str(value))
     if not digits:
         raise DecodeError("no digit-bearing syllables in input")
     return "".join(digits)
@@ -163,7 +166,10 @@ def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
             resources.files("paridhi").joinpath("data/bhutasamkhya.tsv").read_text("utf-8")
         )
     else:
-        text = Path(path).read_text("utf-8")
+        try:
+            text = Path(path).read_text("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DecodeError(f"cannot read lexicon {str(path)!r}: {exc}") from None
     digit_words: dict[str, str] = {}
     magnitude_words: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -175,9 +181,9 @@ def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
         except ValueError:
             raise DecodeError(f"malformed lexicon line {lineno}: {line!r}") from None
         word = _nfc(word)
-        if value.startswith("E"):
+        if re.fullmatch(r"E[0-9]+", value):
             magnitude_words[word] = int(value[1:])
-        elif value.isdigit():
+        elif re.fullmatch(r"[0-9]+", value):
             digit_words[word] = value
         else:
             raise DecodeError(f"malformed lexicon value on line {lineno}: {value!r}")

@@ -60,6 +60,32 @@ class TestExitCodes:
         assert code == 0
         assert "paridhi" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circumference", "--formula", "f4", "--diameter", D12, "--policy", "floor",
+             "--terms", "1_0"],
+            ["varman", "--diameter", D17, "--terms", "+10"],
+            ["scan", "--formula", "f4", "--diameter", D12, "--policy", "floor",
+             "--from", " 5", "--to", "9"],
+            ["fixed-point", "--formula", "f3", "--diameter", D12, "--policy", "floor",
+             "--window", "\uff15\uff10"],
+        ],
+    )
+    def test_count_flags_take_plain_integers(self, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert "plain decimal integer required" in err
+
+    def test_unreadable_lexicon_is_1(self, tmp_path):
+        binary = tmp_path / "binary.tsv"
+        binary.write_bytes(b"\xff\xfe\x00word\t5\n")
+        for path in (tmp_path / "missing.tsv", tmp_path, binary):
+            code, out, err = run("decode", "--system", "bhutasamkhya", "--lexicon", str(path),
+                                 "netra")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: cannot read lexicon")
+
 
 class TestVarman:
     def test_floor_value(self):
@@ -106,6 +132,34 @@ class TestRender:
         for c_row, j_row in zip(csv_rows, json_rows):
             for key in ("formula", "correction", "diameter", "n", "policy", "circumference"):
                 assert c_row[key] == str(j_row[key]) or c_row[key] == str(j_row[key] or "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["varman", "--diameter", D17, "--ledger"],
+            ["varman", "--diameter", D17, "--ledger", "--policy", "final-nearest",
+             "--terms", "12"],
+            ["varman", "--diameter", D17, "--ledger", "--policy", "final-nearest",
+             "--backend", "rational", "--terms", "12"],
+            ["sqrt", "1522756", "--trace"],
+            ["fixed-point", "--formula", "f3", "--diameter", D12, "--policy", "floor"],
+            ["circumference", "--formula", "f2", "--diameter", D12, "--terms", "40",
+             "--policy", "final-nearest"],
+            ["scan", "--formula", "f4", "--diameter", D12, "--from", "5", "--to", "9",
+             "--policy", "nearest"],
+        ],
+    )
+    def test_csv_rows_equal_json_records(self, argv):
+        _, csv_text, _ = run(*argv, "--format", "csv")
+        _, json_text, _ = run(*argv, "--format", "json")
+        csv_rows = list(csv.DictReader(io.StringIO(csv_text)))
+        json_rows = [{k: str(v) for k, v in rec.items()} for rec in json.loads(json_text)]
+        assert csv_rows and csv_rows == json_rows
+
+    def test_empty_results_in_every_format(self):
+        assert render([], "table") == ""
+        assert render([], "csv") == "formula,correction,diameter,n,policy,circumference\n"
+        assert render([], "json") == "[]\n"
 
     def test_report_render(self):
         report = fixed_point(F3(), 9 * 10**11, FLOOR_EACH_OP, max_terms=10**4)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from paridhi.numerals import (
     DecodeError,
+    SyllableToken,
     decode_bhutasamkhya,
     decode_katapayadi,
     default_lexicon,
@@ -71,6 +72,10 @@ class TestDecodeKatapayadi:
     def test_no_digits(self):
         with pytest.raises(DecodeError):
             decode_katapayadi(["d"])
+
+    def test_prebuilt_token_without_value(self):
+        with pytest.raises(DecodeError, match="has no value"):
+            decode_katapayadi([SyllableToken("qa", ("q",), "a")])
 
 
 class TestEncodeKatapayadi:
@@ -144,4 +149,11 @@ class TestBhutasamkhya:
         path = tmp_path / "bad.tsv"
         path.write_text("word-without-tab\n", encoding="utf-8")
         with pytest.raises(DecodeError):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize("value", ["Ex", "E-3", "E+6", "E", "\u00b2"])
+    def test_malformed_lexicon_value(self, tmp_path, value):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"word\t{value}\n", encoding="utf-8")
+        with pytest.raises(DecodeError, match="malformed lexicon value"):
             load_lexicon(path)
