@@ -14,7 +14,6 @@ worksheet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_arith import DomainError, ScaledValue
 
@@ -129,4 +128,4 @@ def sqrt_scaled(n: int, frac_digits: int) -> ScaledValue:
     if frac_digits < 0:
         raise DomainError("frac_digits must be non-negative")
     root, _ = isqrt(n * 10 ** (2 * frac_digits))
-    return ScaledValue(root, frac_digits, Fraction(1, 10**frac_digits))
+    return ScaledValue(root, frac_digits, 1)

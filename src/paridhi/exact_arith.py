@@ -5,8 +5,8 @@ Everything in this package is built on three exact representations:
 * ``int`` -- Python's native unbounded integer,
 * ``fractions.Fraction`` -- normalized exact rationals,
 * ``ScaledValue`` -- a decimal fixed-point value (mantissa, scale) that
-  carries a guaranteed error bound, used where full rational arithmetic
-  would blow up denominators.
+  carries a guaranteed error bound, counted exactly in units in the last
+  place, used where full rational arithmetic would blow up denominators.
 
 No floating point is used anywhere; every rounding is an explicit integer
 operation.  The two rounding modes are the floor function and
@@ -77,27 +77,29 @@ def decimal_string(r: Fraction, places: int) -> str:
     return f"{sign}{int_part}.{frac_part:0{places}d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledValue:
     """A decimal fixed-point number with a tracked worst-case error bound.
 
     The represented value is mantissa / 10**scale, and the true quantity it
     stands for is guaranteed to satisfy
 
-        |true - mantissa / 10**scale| <= error_bound.
+        |true - mantissa / 10**scale| <= error_ulps / 10**scale,
 
-    Combining operations propagate (and never shrink) the bound, so a chain
-    of ScaledValue computations is a rigorous enclosure of the exact result.
+    an exact count of units in the last place (ulps): an int, or a Fraction
+    once div_int leaves part of an ulp.  Combining operations propagate (and
+    never shrink) the bound, so a chain of ScaledValue computations is a
+    rigorous enclosure of the exact result.
     """
 
     mantissa: int
     scale: int
-    error_bound: Fraction = Fraction(0)
+    error_ulps: int | Fraction = 0
 
     def __post_init__(self) -> None:
         if self.scale < 0:
             raise DomainError("scale must be non-negative")
-        if self.error_bound < 0:
+        if self.error_ulps < 0:
             raise DomainError("error bound must be non-negative")
 
     @classmethod
@@ -112,9 +114,12 @@ class ScaledValue:
         """
         if denom <= 0:
             raise DomainError("denominator must be positive")
-        unit = 10**scale
-        mantissa, rem = divmod(numer * unit, denom)
-        return cls(mantissa, scale, Fraction(0) if rem == 0 else Fraction(1, unit))
+        mantissa, rem = divmod(numer * 10**scale, denom)
+        return cls(mantissa, scale, 1 if rem else 0)
+
+    @property
+    def error_bound(self) -> Fraction:
+        return Fraction(self.error_ulps, 10**self.scale)
 
     @property
     def ulp(self) -> Fraction:
@@ -123,22 +128,23 @@ class ScaledValue:
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 10**self.scale)
 
-    def _aligned(self, other: "ScaledValue") -> tuple[int, int, int]:
+    def _aligned(self, other: "ScaledValue") -> tuple[int, int, int | Fraction, int]:
+        """Both mantissas and the summed error, in ulps of the larger scale."""
+        if self.scale == other.scale:
+            return self.mantissa, other.mantissa, self.error_ulps + other.error_ulps, self.scale
         # Rescaling upward is exact, so alignment never adds error.
         scale = max(self.scale, other.scale)
-        return (
-            self.mantissa * 10 ** (scale - self.scale),
-            other.mantissa * 10 ** (scale - other.scale),
-            scale,
-        )
+        up_self, up_other = 10 ** (scale - self.scale), 10 ** (scale - other.scale)
+        err = self.error_ulps * up_self + other.error_ulps * up_other
+        return self.mantissa * up_self, other.mantissa * up_other, err, scale
 
     def __add__(self, other: "ScaledValue") -> "ScaledValue":
-        a, b, scale = self._aligned(other)
-        return ScaledValue(a + b, scale, self.error_bound + other.error_bound)
+        a, b, err, scale = self._aligned(other)
+        return ScaledValue(a + b, scale, err)
 
     def __sub__(self, other: "ScaledValue") -> "ScaledValue":
-        a, b, scale = self._aligned(other)
-        return ScaledValue(a - b, scale, self.error_bound + other.error_bound)
+        a, b, err, scale = self._aligned(other)
+        return ScaledValue(a - b, scale, err)
 
     def div_int(self, d: int) -> "ScaledValue":
         """Divide by a positive integer, truncating the mantissa.
@@ -149,29 +155,23 @@ class ScaledValue:
         if d <= 0:
             raise DomainError("divisor must be positive")
         mantissa, rem = divmod(self.mantissa, d)
-        err = self.error_bound / d
-        if rem:
-            err += self.ulp
-        return ScaledValue(mantissa, self.scale, err)
-
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        v = self.as_fraction()
-        return v - self.error_bound, v + self.error_bound
+        err = Fraction(self.error_ulps, d) + (1 if rem else 0)
+        return ScaledValue(mantissa, self.scale, err.numerator if err.denominator == 1 else err)
 
     def round_checked(self, mode: RoundingMode) -> int:
         """Round to an integer, verifying the error bound cannot change it."""
-        lo, hi = self.bounds()
-        r_lo = ratio_round(lo, mode)
-        r_hi = ratio_round(hi, mode)
-        if r_lo != r_hi:
+        # With error_ulps = p/q the enclosure's ends are (m*q ∓ p) / (10**scale * q).
+        rounded = floor_div if mode is RoundingMode.FLOOR else nearest_div
+        p, q = self.error_ulps.numerator, self.error_ulps.denominator
+        m, unit = self.mantissa * q, 10**self.scale * q
+        r_lo = rounded(m - p, unit)
+        if p and rounded(m + p, unit) != r_lo:
+            near = decimal_string(self.as_fraction(), min(self.scale, 6))
             raise RoundingUndecidableError(
-                f"error bound {self.error_bound} straddles a rounding boundary "
-                f"near {decimal_string(self.as_fraction(), min(self.scale, 6))}; "
-                "increase the number of fractional digits"
+                f"error bound ≤ {-(-p // q)} ulp at {self.scale} fractional digits straddles "
+                f"a rounding boundary near {near}; increase the number of fractional digits"
             )
         return r_lo
 
     def decimal(self, places: int | None = None) -> str:
-        if places is None:
-            places = self.scale
-        return decimal_string(self.as_fraction(), places)
+        return decimal_string(self.as_fraction(), self.scale if places is None else places)

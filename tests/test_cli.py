@@ -86,6 +86,13 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err.startswith("error: cannot read lexicon")
 
+    def test_undecidable_rounding_states_ulps(self):
+        code, out, err = run("varman", "--diameter", D17, "--policy", "final-nearest",
+                             "--terms", "38", "--frac-digits", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: error bound ≤ 38 ulp at 0 fractional digits")
+        assert "/" not in err
+
 
 class TestVarman:
     def test_floor_value(self):

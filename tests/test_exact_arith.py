@@ -175,3 +175,84 @@ class TestScaledValue:
     def test_negative_scale_rejected(self):
         with pytest.raises(DomainError):
             ScaledValue(1, -1)
+
+
+scales = st.integers(min_value=0, max_value=50)
+leaves = st.tuples(
+    st.sampled_from(["int", "ratio"]),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.integers(min_value=1, max_value=10**6),
+    scales,
+)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["+", "-"]), leaves),
+        st.tuples(st.just("div"), st.integers(min_value=1, max_value=1000)),
+    ),
+    max_size=12,
+)
+
+
+def _leaf(kind, n, d, scale):
+    """A ScaledValue leaf, its error bound as a Fraction, and its exact value."""
+    if kind == "int":
+        return ScaledValue.from_int(n, scale), Fraction(0), Fraction(n)
+    bound = Fraction(1 if n * 10**scale % d else 0, 10**scale)
+    return ScaledValue.from_ratio(n, d, scale), bound, Fraction(n, d)
+
+
+class TestScaledErrorAccounting:
+    """Counting the error in ulps matches Fraction error bounds step by step."""
+
+    @given(leaves, steps)
+    def test_chain_matches_fraction_bounds(self, first, chain):
+        v, bound, exact = _leaf(*first)
+        divided = False
+        for op, arg in chain:
+            if op == "div":
+                bound = bound / arg + Fraction(1 if v.mantissa % arg else 0, 10**v.scale)
+                v, exact, divided = v.div_int(arg), exact / arg, True
+            else:
+                w, w_bound, w_exact = _leaf(*arg)
+                v = v + w if op == "+" else v - w
+                bound += w_bound
+                exact = exact + w_exact if op == "+" else exact - w_exact
+            assert v.error_bound == bound
+            assert v.as_fraction() - v.error_bound <= exact <= v.as_fraction() + v.error_bound
+            if not divided:
+                assert type(v.error_ulps) is int
+
+    @staticmethod
+    def _check_round(mantissa, scale, err):
+        v = ScaledValue(mantissa, scale, err)
+        bound = Fraction(err) / 10**scale
+        for mode in (FLOOR, NEAREST):
+            lo = ratio_round(v.as_fraction() - bound, mode)
+            hi = ratio_round(v.as_fraction() + bound, mode)
+            if lo == hi:
+                assert v.round_checked(mode) == lo
+            else:
+                with pytest.raises(RoundingUndecidableError):
+                    v.round_checked(mode)
+
+    @given(
+        st.integers(min_value=-(10**30), max_value=10**30),
+        scales,
+        st.one_of(
+            st.integers(min_value=0, max_value=10**6),
+            st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+        ),
+    )
+    def test_round_checked_matches_fraction_rounding(self, mantissa, scale, err):
+        self._check_round(mantissa, scale, err)
+
+    @given(
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([-1, 1]),
+    )
+    def test_round_checked_at_exact_boundaries(self, twice_boundary, scale, err, side):
+        # One end of the enclosure lies exactly on an integer or a tie.
+        mantissa = twice_boundary * 10**scale // 2 + side * err
+        self._check_round(mantissa, scale, err)
