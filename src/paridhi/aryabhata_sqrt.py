@@ -3,12 +3,12 @@
 The algorithm works on the decimal digits of the radicand, alternating
 between "even places", where the working figure is divided by twice the
 root accumulated so far, and "odd places", where the square of the newest
-root digit is subtracted.  Each quotient digit is capped at 9 and
-decremented until the following odd-place subtraction stays non-negative.
+root digit is subtracted.  Each quotient digit is the largest one whose
+odd-place subtraction stays non-negative.
 
-``isqrt`` runs the method pair-at-a-time; ``isqrt_traced`` additionally
-records every place-by-place step so the computation can be rendered as a
-worksheet.
+One step generator, ``_steps``, runs the method pair-at-a-time.  ``isqrt``
+keeps only its last step; ``isqrt_traced`` records every place-by-place
+step so the computation can be rendered as a worksheet.
 """
 
 from __future__ import annotations
@@ -50,10 +50,28 @@ class SqrtTrace:
         )
 
 
-def _leading_group(n: int) -> tuple[int, str]:
-    s = str(n)
-    split = 1 if len(s) % 2 else 2
-    return int(s[:split]), s[split:]
+def _steps(n: int):
+    """Yield (w, root, q) for each decimal digit pair of n, left to right.
+
+    w is 100 * (remainder so far) + the pair, root is the root so far and q
+    is the largest digit with q * (20 * root + q) <= w.
+    """
+    if n < 0:
+        raise DomainError("square root of a negative integer")
+    digits = str(n).encode()
+    if len(digits) % 2:
+        digits = b"0" + digits
+    rem = root = 0
+    for i in range(0, len(digits), 2):
+        w = 100 * rem + 10 * digits[i] + digits[i + 1] - 528  # 528 = 11 * ord("0")
+        divisor = 20 * root
+        # A digit q >= 1 with q * (divisor + q) <= w has q <= w // (divisor + 1).
+        q = min(w // (divisor + 1), 9)
+        while q * (divisor + q) > w:
+            q -= 1
+        yield w, root, q
+        rem = w - q * (divisor + q)
+        root = 10 * root + q
 
 
 def isqrt(n: int) -> tuple[int, int]:
@@ -62,23 +80,9 @@ def isqrt(n: int) -> tuple[int, int]:
     Implemented by the digit-pair schoolbook method, processing decimal
     digit pairs left to right.
     """
-    if n < 0:
-        raise DomainError("square root of a negative integer")
-    if n == 0:
-        return 0, 0
-    group, rest = _leading_group(n)
-    root = 1
-    while (root + 1) * (root + 1) <= group:
-        root += 1
-    rem = group - root * root
-    for i in range(0, len(rest), 2):
-        w = rem * 100 + int(rest[i : i + 2])
-        q = min(w // (20 * root), 9)
-        while q * (20 * root + q) > w:
-            q -= 1
-        rem = w - q * (20 * root + q)
-        root = root * 10 + q
-    return root, rem
+    for w, root, q in _steps(n):
+        pass
+    return 10 * root + q, w - q * (20 * root + q)
 
 
 def isqrt_nearest(n: int) -> int:
@@ -89,32 +93,15 @@ def isqrt_nearest(n: int) -> int:
 
 def isqrt_traced(n: int) -> SqrtTrace:
     """Digit-pair square root with a full place-by-place step trace."""
-    if n < 0:
-        raise DomainError("square root of a negative integer")
-    if n == 0:
-        step = SqrtStep("odd", 0, 0, 0, 0)
-        return SqrtTrace(0, (step,), 0, 0)
-    group, rest = _leading_group(n)
-    digit = 1
-    while (digit + 1) * (digit + 1) <= group:
-        digit += 1
-    steps = [SqrtStep("odd", group, digit * digit, digit, digit * digit)]
-    rem = group - digit * digit
-    root = digit
-    for i in range(0, len(rest), 2):
-        d_even, d_odd = int(rest[i]), int(rest[i + 1])
-        w_even = rem * 10 + d_even
+    steps = []
+    for w, root, q in _steps(n):
+        if not steps:  # the leading pair
+            steps.append(SqrtStep("odd", w, q * q, q, q * q))
+            continue
         divisor = 2 * root
-        q = min(w_even // divisor, 9)
-        # Cap and decrement until the odd-place square subtraction fits.
-        while (w_even - q * divisor) * 10 + d_odd < q * q:
-            q -= 1
-        steps.append(SqrtStep("even", w_even, divisor, q, q * divisor))
-        w_odd = (w_even - q * divisor) * 10 + d_odd
-        steps.append(SqrtStep("odd", w_odd, q * q, None, q * q))
-        rem = w_odd - q * q
-        root = root * 10 + q
-    return SqrtTrace(n, tuple(steps), root, rem)
+        steps.append(SqrtStep("even", w // 10, divisor, q, q * divisor))
+        steps.append(SqrtStep("odd", w - 10 * q * divisor, q * q, None, q * q))
+    return SqrtTrace(n, tuple(steps), 10 * root + q, w - q * (20 * root + q))
 
 
 def sqrt_scaled(n: int, frac_digits: int) -> ScaledValue:

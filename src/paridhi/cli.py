@@ -200,8 +200,7 @@ def _worksheet(trace: SqrtTrace) -> str:
             )
         else:
             rows.append([f"{step.working_value} -", "", ""])
-            digit = root_so_far[-1] if root_so_far else "?"
-            rows.append([step.subtracted, "", f"{digit}^2 = {step.subtracted}"])
+            rows.append([step.subtracted, "", f"{root_so_far[-1]}^2 = {step.subtracted}"])
     table = _aligned(["computations", "result", "notes"], rows)
     return f"n = {trace.input}\n{table}root = {trace.root}\nremainder = {trace.remainder}\n"
 
@@ -233,6 +232,10 @@ def _scan_all(
 
 
 def _cmd_sqrt(args) -> str:
+    if args.trace + (args.round == "nearest") + (args.frac_digits is not None) > 1:
+        raise UsageError("--trace, --round nearest and --frac-digits exclude each other")
+    if args.format != "table" and not args.trace:
+        raise UsageError(f"--format {args.format} requires --trace")
     if args.trace:
         return render(isqrt_traced(args.n), args.format)
     if args.frac_digits is not None:

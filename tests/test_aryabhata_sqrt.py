@@ -5,12 +5,40 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paridhi.aryabhata_sqrt import (
+    SqrtStep,
+    SqrtTrace,
     isqrt,
     isqrt_nearest,
     isqrt_traced,
     sqrt_scaled,
 )
 from paridhi.exact_arith import DomainError
+
+
+def reference_trace(n: int) -> SqrtTrace:
+    """Place-by-place worksheet read off str(n), one decimal digit at a time."""
+    if n == 0:
+        return SqrtTrace(0, (SqrtStep("odd", 0, 0, 0, 0),), 0, 0)
+    s = str(n)
+    split = 1 if len(s) % 2 else 2
+    group, rest = int(s[:split]), s[split:]
+    digit = 1
+    while (digit + 1) * (digit + 1) <= group:
+        digit += 1
+    steps = [SqrtStep("odd", group, digit * digit, digit, digit * digit)]
+    rem, root = group - digit * digit, digit
+    for i in range(0, len(rest), 2):
+        d_even, d_odd = int(rest[i]), int(rest[i + 1])
+        w_even = rem * 10 + d_even
+        divisor = 2 * root
+        q = min(w_even // divisor, 9)
+        while (w_even - q * divisor) * 10 + d_odd < q * q:
+            q -= 1
+        steps.append(SqrtStep("even", w_even, divisor, q, q * divisor))
+        w_odd = (w_even - q * divisor) * 10 + d_odd
+        steps.append(SqrtStep("odd", w_odd, q * q, None, q * q))
+        rem, root = w_odd - q * q, root * 10 + q
+    return SqrtTrace(n, tuple(steps), root, rem)
 
 
 class TestIsqrt:
@@ -106,6 +134,18 @@ class TestIsqrtTraced:
         root, rem = isqrt(n)
         assert (trace.root, trace.remainder) == (root, rem)
         assert trace.digits() == str(root)
+
+    def test_small_range_matches_reference_steps(self):
+        for n in range(3001):
+            trace = isqrt_traced(n)
+            assert trace == reference_trace(n)
+            assert isqrt(n) == (trace.root, trace.remainder)
+
+    @given(st.integers(min_value=0, max_value=10**200))
+    def test_matches_reference_steps(self, n):
+        trace = isqrt_traced(n)
+        assert trace == reference_trace(n)
+        assert isqrt(n) == (trace.root, trace.remainder)
 
     @given(st.integers(min_value=1, max_value=10**40))
     def test_subtractions_reconcile(self, n):

@@ -269,6 +269,22 @@ class TestSqrtCommand:
         code, _, err = run("sqrt", "-4")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trace", "--round", "nearest"],
+            ["--trace", "--frac-digits", "3"],
+            ["--round", "nearest", "--frac-digits", "3"],
+            ["--format", "csv"],
+            ["--format", "json"],
+            ["--round", "nearest", "--format", "json"],
+        ],
+    )
+    def test_ignored_flags_are_usage_errors(self, flags):
+        code, out, err = run("sqrt", "10", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --")
+
 
 class TestCompare:
     def test_madhava_value(self):
