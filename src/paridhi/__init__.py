@@ -41,7 +41,6 @@ from .madhava_formulas import (
     WindowedScan,
     circumference,
     correction_fraction,
-    correction_value,
     fixed_point,
     scan_range,
     vanish_onset,

@@ -121,10 +121,6 @@ class ScaledValue:
     def error_bound(self) -> Fraction:
         return Fraction(self.error_ulps, 10**self.scale)
 
-    @property
-    def ulp(self) -> Fraction:
-        return Fraction(1, 10**self.scale)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 10**self.scale)
 

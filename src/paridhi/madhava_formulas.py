@@ -21,20 +21,18 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterator, Union
 
 from .exact_arith import DomainError
 from .series_engine import (
     Arithmetic,
-    ExactFinal,
     FloorEachOp,
     NearestEachOp,
     Policy,
-    RationalBackend,
     TermValue,
     arithmetic,
-    build_ledger,
+    ledger_rows,
     round_final,
 )
 
@@ -147,18 +145,6 @@ def _correction(
     return a.ratio(4 * diameter * f.numerator, f.denominator)
 
 
-def correction_value(
-    correction: CorrectionId, n: int, diameter: int, policy: Policy
-) -> int | Fraction:
-    """4*diameter*F(n) as a single division, rounded per policy.
-
-    Integer policies return the rounded integer; ExactFinal returns the
-    exact ratio.
-    """
-    exact = isinstance(policy, ExactFinal)
-    return _correction(correction, n, diameter, RationalBackend() if exact else policy)
-
-
 def _numerator(formula: FormulaId, diameter: int) -> int:
     """The numerator every term of F2, F3 or F4 shares."""
     return 16 * diameter if isinstance(formula, F4) else 4 * diameter
@@ -178,32 +164,32 @@ def _leading(formula: FormulaId, diameter: int) -> int:
     return 3 * diameter if isinstance(formula, F3) else 0
 
 
-def _validate(diameter: int, n: int) -> None:
-    if diameter <= 0:
-        raise DomainError("diameter must be positive")
+def _validate(n: int) -> None:
     if n < 1:
         raise DomainError("term count must be positive")
 
 
 def _partial_sums(
-    formula: FormulaId, diameter: int, policy: Policy, n_to: int
+    formula: FormulaId, diameter: int, policy: Policy
 ) -> Iterator[tuple[int, TermValue]]:
-    """Yield (n, leading + t_1 - t_2 + ... ± t_n) for n = 1..n_to.
+    """Yield (n, leading + t_1 - t_2 + ... ± t_n) for n = 1, 2, ...
 
-    This is the one loop that sums terms; F2's correction and the final
-    rounding are applied per n by _finish.  Under integer policies F1 stops
-    early, at the ledger's natural termination: every later term is zero.
+    This is the one loop that sums terms, and it runs until its reader
+    stops, except that under integer policies F1 ends with the ledger's
+    last row: every later term is zero.
     """
     a = arithmetic(policy)
     if isinstance(formula, F1):
-        terms = (row.t for row in build_ledger(diameter, policy, max_terms=n_to).rows)
+        terms = (row.t for row in ledger_rows(diameter, policy))
     else:
+        if diameter <= 0:
+            raise DomainError("diameter must be positive")
         # The numerator is the same for every term, so it is not recomputed.
         if isinstance(formula, F2):
-            denominators = range(1, 2 * n_to, 2)
+            denominators = count(1, 2)
         else:
-            denominators = map(partial(_denominator, formula), range(1, n_to + 1))
-        terms = map(a.ratio, repeat(_numerator(formula, diameter), n_to), denominators)
+            denominators = map(partial(_denominator, formula), count(1))
+        terms = map(a.ratio, repeat(_numerator(formula, diameter)), denominators)
     total = a.seed(_leading(formula, diameter))
     for n, t in enumerate(terms, 1):
         total = total + t if n % 2 else total - t
@@ -220,45 +206,47 @@ def _finish(
     return round_final(total, policy)
 
 
+def _values(
+    formula: FormulaId, diameter: int, policy: Policy, n_from: int, n_to: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (n, circumference) for n = n_from..n_to; no other row is rounded."""
+    sums = _partial_sums(formula, diameter, policy)
+    head = deque(islice(sums, n_from), maxlen=1)  # row n_from, or F1's last row
+    for n, total in chain(head, islice(sums, n_to - n_from)):
+        value = _finish(formula, diameter, policy, n, total)
+        if n >= n_from:
+            yield n, value
+    # F1 past the ledger's last row repeats its sum
+    yield from zip(range(max(n + 1, n_from), n_to + 1), repeat(value))
+
+
 def circumference(
     formula: FormulaId, diameter: int, n: int, policy: Policy
 ) -> ComputationResult:
     """Evaluate the formula with n terms under the given policy."""
-    _validate(diameter, n)
-    [(_, total)] = deque(_partial_sums(formula, diameter, policy, n), maxlen=1)
-    value = _finish(formula, diameter, policy, n, total)
+    _validate(n)
+    [(_, value)] = _values(formula, diameter, policy, n, n)
     return ComputationResult(formula, diameter, n, policy, value)
-
-
-def _running_values(
-    formula: FormulaId, diameter: int, policy: Policy, n_to: int
-) -> Iterator[tuple[int, int]]:
-    """Yield (n, circumference) for n = 1..n_to, reusing the partial sum."""
-    for n, total in _partial_sums(formula, diameter, policy, n_to):
-        value = _finish(formula, diameter, policy, n, total)
-        yield n, value
-    yield from zip(range(n + 1, n_to + 1), repeat(value))  # F1 past termination
 
 
 def scan_range(
     formula: FormulaId, diameter: int, policy: Policy, n_from: int, n_to: int
 ) -> list[ComputationResult]:
     """One result per n in [n_from, n_to], computed incrementally."""
-    _validate(diameter, n_from)
+    _validate(n_from)
     if n_to < n_from:
         raise DomainError("scan range must satisfy n_from <= n_to")
-    results = []
-    for n, value in _running_values(formula, diameter, policy, n_to):
-        if n >= n_from:
-            results.append(ComputationResult(formula, diameter, n, policy, value))
-    return results
+    return [
+        ComputationResult(formula, diameter, n, policy, value)
+        for n, value in _values(formula, diameter, policy, n_from, n_to)
+    ]
 
 
 def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
     """Smallest n whose rounded term is zero, by exact integer comparison.
 
-    Only F3 and F4 have monotonically vanishing terms; F1 terminates
-    naturally through its ledger and F2's correction never vanishes.
+    Only F3 and F4 are supported: F1 ends with its ledger, and F2's rounded
+    terms vanish only past n = 2D (floor) or 4D (nearest).
     """
     if not isinstance(formula, (F3, F4)):
         raise UnsupportedFormulaError(
@@ -307,24 +295,19 @@ def fixed_point(
         raise DomainError("window must be positive")
     if max_terms < 1:
         raise DomainError("max_terms must be positive")
-    if isinstance(policy, (FloorEachOp, NearestEachOp)):
-        if isinstance(formula, (F3, F4)):
+    if isinstance(policy, (FloorEachOp, NearestEachOp)) and not isinstance(formula, F2):
+        if isinstance(formula, F1):  # the ledger ends at its first row with x = 0
+            onset = sum(1 for _ in ledger_rows(diameter, policy))
+        else:
             onset = vanish_onset(formula, diameter, policy)
-            value = circumference(formula, diameter, onset, policy).circumference
-            return ConvergenceReport(
-                formula, diameter, policy, value, onset, AnalyticVanish(), onset
-            )
-        if isinstance(formula, F1):
-            ledger = build_ledger(diameter, policy)
-            onset = ledger.rows[-1].k  # first row with x = 0
-            return ConvergenceReport(
-                formula, diameter, policy, ledger.circumference, onset,
-                AnalyticVanish(), onset,
-            )
+        value = circumference(formula, diameter, onset, policy).circumference
+        return ConvergenceReport(
+            formula, diameter, policy, value, onset, AnalyticVanish(), onset
+        )
     run_start = None
     prev = None
     examined = 0
-    for n, value in _running_values(formula, diameter, policy, max_terms):
+    for n, value in _values(formula, diameter, policy, 1, max_terms):
         examined = n
         if value != prev:
             run_start = n

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from typing import Union
+from itertools import count, islice
+from typing import Iterator, Union
 
 from .aryabhata_sqrt import isqrt, isqrt_nearest, sqrt_scaled
 from .exact_arith import (
@@ -154,38 +154,40 @@ def arithmetic(policy: Policy) -> Arithmetic:
     return policy.backend if isinstance(policy, ExactFinal) else policy
 
 
-def build_ledger(
-    diameter: int, policy: Policy, max_terms: int | None = None
-) -> SeriesLedger:
-    """Evaluate the series row by row and return the full ledger.
+def ledger_rows(diameter: int, policy: Policy) -> Iterator[LedgerRow]:
+    """Yield the ledger's rows for k = 1, 2, ...
 
-    Integer policies stop at the first row whose x value is zero (every
-    later term is zero as well); max_terms, if given, truncates earlier.
-    ExactFinal has no natural stopping point, so max_terms is required and
-    exactly that many rows are produced.
+    Integer policies stop after the first row with x = 0, as every later
+    term is zero; under ExactFinal x never reaches zero and the rows go on.
     """
     if diameter <= 0:
         raise DomainError("diameter must be positive")
+    a = arithmetic(policy)
+    x = a.root(12 * diameter * diameter)
+    for k in count(1):
+        yield LedgerRow(k, x, 1 if k % 2 else -1, a.div(x, 2 * k - 1))
+        if x == 0:
+            return
+        x = a.div(x, 3)
+
+
+def build_ledger(
+    diameter: int, policy: Policy, max_terms: int | None = None
+) -> SeriesLedger:
+    """The first max_terms rows of the ledger, or all of them, with their sums.
+
+    ExactFinal has no natural stopping point, so max_terms is required and
+    exactly that many rows are produced.
+    """
     if max_terms is not None and max_terms < 1:
         raise DomainError("max_terms must be positive")
     if isinstance(policy, ExactFinal) and max_terms is None:
         raise DomainError("ExactFinal policy needs an explicit max_terms")
-    a = arithmetic(policy)
-    x = a.root(12 * diameter * diameter)
-    odd = even = a.seed(0)
-    rows: list[LedgerRow] = []
-    for k in count(1) if max_terms is None else range(1, max_terms + 1):
-        sign = 1 if k % 2 else -1
-        t = a.div(x, 2 * k - 1)
-        rows.append(LedgerRow(k, x, sign, t))
-        if sign > 0:
-            odd = odd + t
-        else:
-            even = even + t
-        if x == 0:  # only integer policies reach zero
-            break
-        x = a.div(x, 3)
-    return SeriesLedger(diameter, policy, tuple(rows), odd, even, odd - even)
+    rows = tuple(islice(ledger_rows(diameter, policy), max_terms))
+    zero = arithmetic(policy).seed(0)
+    odd = sum((row.t for row in rows[::2]), zero)
+    even = sum((row.t for row in rows[1::2]), zero)
+    return SeriesLedger(diameter, policy, rows, odd, even, odd - even)
 
 
 def round_final(value: TermValue, policy: Policy) -> int:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -170,7 +171,7 @@ class TestSqrtScaled:
 
     def test_error_is_one_ulp(self):
         v = sqrt_scaled(2, 5)
-        assert v.error_bound == v.ulp
+        assert v.error_bound == Fraction(1, 10**v.scale)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -182,5 +183,5 @@ class TestSqrtScaled:
     )
     def test_encloses_true_root(self, n, digits):
         v = sqrt_scaled(n, digits)
-        val = v.as_fraction()
-        assert val * val <= n < (val + v.ulp) * (val + v.ulp)
+        val, ulp = v.as_fraction(), Fraction(1, 10**v.scale)
+        assert val * val <= n < (val + ulp) * (val + ulp)

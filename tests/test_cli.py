@@ -308,6 +308,23 @@ class TestFixedPointCommand:
         assert code == 1
         assert "no convergence" in err
 
+    @pytest.mark.parametrize(
+        "formula,diameter,policy",
+        [
+            ("f2", "-9", "final-nearest"),
+            ("f3", "-9", "final-nearest"),
+            ("f2", "0", "nearest"),
+            ("f4", "0", "final-floor"),
+            ("f1", "-9", "final-floor"),
+            ("f1", "0", "floor"),
+            ("f3", "0", "nearest"),
+        ],
+    )
+    def test_nonpositive_diameter_is_1(self, formula, diameter, policy):
+        code, out, err = run("fixed-point", "--formula", formula, "--diameter", diameter,
+                             "--policy", policy)
+        assert (code, out, err) == (1, "", "error: diameter must be positive\n")
+
 
 class TestReproduceGolden:
     @pytest.mark.parametrize(

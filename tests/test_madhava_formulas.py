@@ -18,7 +18,6 @@ from paridhi.madhava_formulas import (
     WindowedScan,
     circumference,
     correction_fraction,
-    correction_value,
     fixed_point,
     scan_range,
     vanish_onset,
@@ -42,28 +41,31 @@ F2C3 = F2(CorrectionId.C3)
 
 class TestCorrectionValue:
     def test_c1_at_one_is_diameter(self):
-        assert correction_value(CorrectionId.C1, 1, D, FINAL_NEAREST) == Fraction(D)
+        assert 4 * D * correction_fraction(CorrectionId.C1, 1) == D
 
     def test_c3_at_two(self):
         # F(2) = (4+1)/(2*(16+5)) = 5/42, so the term is 4D*5/42
         assert correction_fraction(CorrectionId.C3, 2) == Fraction(5, 42)
-        assert correction_value(CorrectionId.C3, 2, D, FINAL_NEAREST) == Fraction(4 * D * 5, 42)
 
     def test_c3_at_38_nearest(self):
         # n=38: n^2+1 = 1445, n(4n^2+5) = 38*5781
-        expected = nearest_div(4 * D * 1445, 38 * 5781)
-        got = correction_value(CorrectionId.C3, 38, D, NEAREST_EACH_OP)
-        assert got == expected
-        exact = Fraction(4 * D * 1445, 38 * 5781)
-        assert got == ratio_round(exact, NEAREST)
+        exact = 4 * D * correction_fraction(CorrectionId.C3, 38)
+        assert exact == Fraction(4 * D * 1445, 38 * 5781)
+        assert ratio_round(exact, NEAREST) == nearest_div(4 * D * 1445, 38 * 5781)
 
     def test_c2(self):
         assert correction_fraction(CorrectionId.C2, 3) == Fraction(3, 37)
 
     def test_integer_policies_round_once(self):
-        exact = Fraction(4 * D) * correction_fraction(CorrectionId.C3, 7)
-        assert correction_value(CorrectionId.C3, 7, D, FLOOR_EACH_OP) == ratio_round(exact, FLOOR)
-        assert correction_value(CorrectionId.C3, 7, D, NEAREST_EACH_OP) == ratio_round(exact, NEAREST)
+        # F2 sums the same terms under every correction, so at odd n the
+        # difference of two corrected sums is that of the two corrections,
+        # each rounded once
+        for policy, mode in ((FLOOR_EACH_OP, FLOOR), (NEAREST_EACH_OP, NEAREST)):
+            c1 = circumference(F2(CorrectionId.C1), D, 7, policy).circumference
+            c3 = circumference(F2C3, D, 7, policy).circumference
+            r1, r3 = (ratio_round(4 * D * correction_fraction(c, 7), mode)
+                      for c in (CorrectionId.C1, CorrectionId.C3))
+            assert c1 - c3 == r3 - r1
 
 
 class TestCircumference:
@@ -130,6 +132,26 @@ class TestScanRange:
         assert [r.n for r in results] == list(range(36, 46))
         for result in results:
             assert result == circumference(F1(), 10**17, result.n, policy)
+
+    def test_f1_starting_past_natural_termination(self):
+        results = scan_range(F1(), 10**17, FLOOR_EACH_OP, 40, 42)
+        assert [(r.n, r.circumference) for r in results] == [
+            (n, 314159265358979324) for n in (40, 41, 42)
+        ]
+        for result in results:
+            assert result == circumference(F1(), 10**17, result.n, FLOOR_EACH_OP)
+
+    @pytest.mark.parametrize(
+        "correction,n_from,n_to", [(CorrectionId.C1, 25, 40), (CorrectionId.C3, 63, 68)]
+    )
+    def test_rounds_only_the_rows_it_returns(self, correction, n_from, n_to):
+        # at 3 fractional digits some rows before n_from cannot be rounded;
+        # the scan must not try
+        policy = ExactFinal(FLOOR, ScaledBackend(3))
+        results = scan_range(F2(correction), D, policy, n_from, n_to)
+        assert [r.n for r in results] == list(range(n_from, n_to + 1))
+        for result in results:
+            assert result == circumference(F2(correction), D, result.n, policy)
 
     def test_range_validation(self):
         with pytest.raises(Exception):
@@ -210,6 +232,19 @@ class TestFixedPoint:
         assert report.fixed_value == 314159265358979324
         assert report.onset == 38
         assert report.method == AnalyticVanish()
+
+    @pytest.mark.parametrize(
+        "policy,value,onset",
+        [
+            (FINAL_NEAREST, 2827433388231, 23),
+            (FINAL_FLOOR, 2827433388230, 24),
+            (ExactFinal(NEAREST, RationalBackend()), 2827433388230, 23),
+        ],
+    )
+    def test_f1_exact_final(self, policy, value, onset):
+        report = fixed_point(F1(), D, policy)
+        assert (report.fixed_value, report.onset) == (value, onset)
+        assert (report.method, report.max_terms_examined) == (WindowedScan(50), onset + 50)
 
     def test_windowed_invariant(self):
         report = fixed_point(F4(), D, FINAL_NEAREST, window=50, max_terms=10**3)

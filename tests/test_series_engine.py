@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from paridhi.series_engine import (
     RationalBackend,
     ScaledBackend,
     build_ledger,
+    ledger_rows,
     varman_circumference,
 )
 
@@ -112,6 +114,15 @@ class TestExactFinal:
 def test_diameter_must_be_positive():
     with pytest.raises(DomainError):
         build_ledger(0, FLOOR_EACH_OP)
+
+
+@pytest.mark.parametrize("policy", [ExactFinal(FLOOR, RationalBackend()), ExactFinal(FLOOR, ScaledBackend(40))])
+def test_exact_rows_go_on_past_the_integer_ledger(policy):
+    # the floor ledger of 10**17 ends at row 38; the exact one does not end
+    rows = list(islice(ledger_rows(D17, policy), 60))
+    assert [row.k for row in rows] == list(range(1, 61))
+    assert rows[:38] == list(build_ledger(D17, policy, 38).rows)
+    assert all(row.x != 0 for row in rows)
 
 
 @settings(max_examples=60)
