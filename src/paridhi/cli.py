@@ -70,20 +70,18 @@ def _plain_int(text: str) -> int:
 
 
 def _make_policy(code: str, backend: str = "scaled", frac_digits: int = 40) -> Policy:
-    if code == "floor":
-        return FLOOR_EACH_OP
-    if code == "nearest":
-        return NEAREST_EACH_OP
-    mode = RoundingMode.FLOOR if code == "final-floor" else RoundingMode.NEAREST_HALF_UP
     back = RationalBackend() if backend == "rational" else ScaledBackend(frac_digits)
-    return ExactFinal(mode, back)
+    policies = [FLOOR_EACH_OP, NEAREST_EACH_OP, *(ExactFinal(mode, back) for mode in RoundingMode)]
+    return next(policy for policy in policies if str(policy) == code)
 
 
-def _make_formula(code: str, correction: str) -> FormulaId:
+def _make_formula(code: str, correction: str | None) -> FormulaId:
+    if code != "f2" and correction is not None:
+        raise UsageError("--correction applies only to --formula f2")
     if code == "f1":
         return F1()
     if code == "f2":
-        return F2(CorrectionId(correction))
+        return F2(CorrectionId(correction or "c3"))
     if code == "f3":
         return F3()
     return F4()
@@ -273,10 +271,13 @@ def _cmd_circumference(args) -> str:
 def _cmd_scan(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     if args.policy == "all":
+        final_code = f"final-{args.final_mode or 'nearest'}"
         return _scan_all(
-            formula, args.diameter, args.n_from, args.n_to, f"final-{args.final_mode}",
+            formula, args.diameter, args.n_from, args.n_to, final_code,
             args.format, args.backend, args.frac_digits,
         )
+    if args.final_mode is not None:
+        raise UsageError("--final-mode applies only to --policy all")
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     results = scan_range(formula, args.diameter, policy, args.n_from, args.n_to)
     return render(results, args.format)
@@ -290,13 +291,15 @@ def _cmd_fixed_point(args) -> str:
 
 
 def _cmd_onset(args) -> str:
-    formula = _make_formula(args.formula, "c3")
+    formula = _make_formula(args.formula, None)
     policy = _make_policy(args.policy)
     return f"{vanish_onset(formula, args.diameter, policy)}\n"
 
 
 def _cmd_decode(args) -> str:
     if args.system == "katapayadi":
+        if args.lexicon is not None:
+            raise UsageError("--lexicon applies only to --system bhutasamkhya")
         return f"{decode_katapayadi(args.tokens)}\n"
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     return f"{decode_bhutasamkhya(args.tokens, lexicon)}\n"
@@ -355,7 +358,8 @@ def _cmd_reproduce(args) -> str:
 
 
 FORMATS = ["table", "csv", "json"]
-POLICY_CHOICES = ["floor", "nearest", "final-floor", "final-nearest"]
+MODE_CHOICES = [mode.value for mode in RoundingMode]
+POLICY_CHOICES = MODE_CHOICES + [f"final-{mode}" for mode in MODE_CHOICES]
 
 
 def _add_backend_flags(sub) -> None:
@@ -366,7 +370,8 @@ def _add_backend_flags(sub) -> None:
 
 def _add_series_flags(sub, policies: list[str]) -> None:
     sub.add_argument("--formula", choices=["f1", "f2", "f3", "f4"], required=True)
-    sub.add_argument("--correction", choices=["c1", "c2", "c3"], default="c3")
+    sub.add_argument("--correction", choices=["c1", "c2", "c3"], default=None,
+                     help="correction term of f2 (default c3)")
     sub.add_argument("--diameter", type=_plain_int, required=True)
     sub.add_argument("--policy", choices=policies, required=True)
     _add_backend_flags(sub)
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sqrt", help="integer square root by the digit-pair method")
     p.add_argument("n", type=_plain_int)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--round", choices=["floor", "nearest"], default="floor")
+    p.add_argument("--round", choices=MODE_CHOICES, default="floor")
     p.add_argument("--frac-digits", type=_plain_int, default=None)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_sqrt)
@@ -401,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_series_flags(p, POLICY_CHOICES + ["all"])
     p.add_argument("--from", dest="n_from", type=_plain_int, required=True)
     p.add_argument("--to", dest="n_to", type=_plain_int, required=True)
-    p.add_argument("--final-mode", choices=["floor", "nearest"], default="nearest",
-                   help="final rounding used for the third column of --policy all")
+    p.add_argument("--final-mode", choices=MODE_CHOICES, default=None,
+                   help="final rounding used for the third column of --policy all (default nearest)")
     p.set_defaults(handler=_cmd_scan)
 
     p = subs.add_parser("fixed-point", help="detect the value a series settles on")
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("onset", help="smallest n whose rounded term vanishes")
     p.add_argument("--formula", choices=["f3", "f4"], required=True)
-    p.add_argument("--policy", choices=["floor", "nearest"], required=True)
+    p.add_argument("--policy", choices=MODE_CHOICES, required=True)
     p.add_argument("--diameter", type=_plain_int, required=True)
     p.set_defaults(handler=_cmd_onset)
 

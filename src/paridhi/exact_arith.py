@@ -33,11 +33,6 @@ class RoundingUndecidableError(DomainError):
     """
 
 
-class RoundingMode(enum.Enum):
-    FLOOR = "floor"
-    NEAREST_HALF_UP = "nearest"
-
-
 def floor_div(n: int, d: int) -> int:
     """Greatest integer q with q*d <= n, for d > 0 (true floor division)."""
     if d <= 0:
@@ -55,11 +50,20 @@ def nearest_div(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
+class RoundingMode(enum.Enum):
+    """A rounding rule; mode.div(n, d) is n/d rounded to an integer under it, for d > 0."""
+
+    FLOOR = "floor"
+    NEAREST_HALF_UP = "nearest"
+
+    def __init__(self, value: str) -> None:
+        # the only place a mode is turned into a division
+        self.div = floor_div if value == "floor" else nearest_div
+
+
 def ratio_round(r: Fraction, mode: RoundingMode) -> int:
     """Round an exact rational to an integer under the given mode."""
-    if mode is RoundingMode.NEAREST_HALF_UP:
-        r = r + Fraction(1, 2)
-    return r.numerator // r.denominator
+    return mode.div(r.numerator, r.denominator)
 
 
 def decimal_string(r: Fraction, places: int) -> str:
@@ -157,11 +161,10 @@ class ScaledValue:
     def round_checked(self, mode: RoundingMode) -> int:
         """Round to an integer, verifying the error bound cannot change it."""
         # With error_ulps = p/q the enclosure's ends are (m*q ∓ p) / (10**scale * q).
-        rounded = floor_div if mode is RoundingMode.FLOOR else nearest_div
         p, q = self.error_ulps.numerator, self.error_ulps.denominator
         m, unit = self.mantissa * q, 10**self.scale * q
-        r_lo = rounded(m - p, unit)
-        if p and rounded(m + p, unit) != r_lo:
+        r_lo = mode.div(m - p, unit)
+        if p and mode.div(m + p, unit) != r_lo:
             near = decimal_string(self.as_fraction(), min(self.scale, 6))
             raise RoundingUndecidableError(
                 f"error bound ≤ {-(-p // q)} ulp at {self.scale} fractional digits straddles "

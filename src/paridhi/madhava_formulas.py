@@ -17,6 +17,7 @@ the terms stay exact and a single rounding is applied to each partial sum.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,7 +244,7 @@ def scan_range(
 
 
 def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
-    """Smallest n whose rounded term is zero, by exact integer comparison.
+    """Smallest n whose term, rounded by the policy's own division, is zero.
 
     Only F3 and F4 are supported: F1 ends with its ledger, and F2's rounded
     terms vanish only past n = 2D (floor) or 4D (nearest).
@@ -256,24 +257,16 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
         raise UnsupportedFormulaError("vanish onset needs an integer rounding policy")
     if diameter <= 0:
         raise DomainError("diameter must be positive")
-    factor = 1 if isinstance(policy, FloorEachOp) else 2
-    numerator = factor * _numerator(formula, diameter)
+    numerator = _numerator(formula, diameter)
 
     def vanished(n: int) -> bool:
-        # term < 1 (floor) or term < 1/2 (nearest)
-        return numerator < _denominator(formula, n)
+        return policy.ratio(numerator, _denominator(formula, n)) == 0
 
     hi = 1
     while not vanished(hi):
         hi *= 2
-    lo = hi // 2  # lo is known not-vanished (or 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if vanished(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # vanished(hi // 2) is False (or hi is 1), so the onset lies in (hi // 2, hi]
+    return bisect_left(range(hi + 1), True, hi // 2 + 1, hi, key=vanished)
 
 
 def fixed_point(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -190,14 +191,9 @@ def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
     return BhutasamkhyaLexicon(digit_words, magnitude_words)
 
 
-_default_lexicon: BhutasamkhyaLexicon | None = None
-
-
+@cache
 def default_lexicon() -> BhutasamkhyaLexicon:
-    global _default_lexicon
-    if _default_lexicon is None:
-        _default_lexicon = load_lexicon()
-    return _default_lexicon
+    return load_lexicon()
 
 
 def decode_bhutasamkhya(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .exact_arith import DomainError, RoundingMode, ratio_round
+from .exact_arith import DomainError, RoundingMode, nearest_div, ratio_round
 
 PI_DIGIT_STRING = "3.14159265358979323846"
 _PI_INT = int(PI_DIGIT_STRING.replace(".", ""))  # pi * 10**20, truncated
@@ -30,9 +30,7 @@ class PiReference:
 
     def as_ratio(self, places: int) -> Fraction:
         """Truncation of the reference to `places` fractional digits."""
-        if not 0 <= places <= _PLACES:
-            raise DomainError(f"places must be in 0..{_PLACES}")
-        return Fraction(_PI_INT // 10 ** (_PLACES - places), 10**places)
+        return Fraction(self.truncated_int(places), 10**places)
 
     def truncated_int(self, places: int) -> int:
         """floor(pi * 10**places) for places <= 20."""
@@ -44,9 +42,7 @@ class PiReference:
         """round-half-up(pi * 10**places); needs the next digit, so places < 20."""
         if not 0 <= places < _PLACES:
             raise DomainError(f"places must be in 0..{_PLACES - 1}")
-        trunc = _PI_INT // 10 ** (_PLACES - places)
-        next_digit = _PI_INT // 10 ** (_PLACES - places - 1) % 10
-        return trunc + (1 if next_digit >= 5 else 0)
+        return nearest_div(_PI_INT, 10 ** (_PLACES - places))
 
 
 PI = PiReference()

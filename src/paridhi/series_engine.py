@@ -18,9 +18,9 @@ handled:
 
 Each integer policy and each ExactFinal backend carries its own arithmetic:
 seed(n) makes the exact integer n a value, root(radicand) is the ledger's
-seed root, ratio(n, d) is the term n/d and div(x, d) divides a value by an
-integer.  arithmetic(policy) picks the object; round_final applies the one
-final rounding.
+seed root, ratio(n, d) is the term n/d, div(x, d) divides a value by an
+integer and round rounds a value to an integer.  arithmetic(policy) picks
+the object; policy.round(value) is the one final rounding (round_final).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .exact_arith import (
 class FloorEachOp:
     """Integer values; every division keeps only the integer part."""
 
-    seed = staticmethod(int)
+    seed = round = staticmethod(int)
     ratio = div = staticmethod(floor_div)
 
     def root(self, radicand: int) -> int:
@@ -59,7 +59,7 @@ class FloorEachOp:
 class NearestEachOp:
     """Integer values; every division rounds half-up."""
 
-    seed = staticmethod(int)
+    seed = round = staticmethod(int)
     ratio = div = staticmethod(nearest_div)
 
     def root(self, radicand: int) -> int:
@@ -75,6 +75,7 @@ class RationalBackend:
 
     seed = staticmethod(Fraction)
     ratio = staticmethod(Fraction)
+    round = staticmethod(ratio_round)
 
     def root(self, radicand: int) -> Fraction:
         return Fraction(isqrt(radicand)[0])
@@ -106,6 +107,11 @@ class ScaledBackend:
     def div(x: ScaledValue, d: int) -> ScaledValue:
         return x.div_int(d)
 
+    @staticmethod
+    def round(x: ScaledValue, mode: RoundingMode) -> int:
+        # resolved per call, so a tracer that wraps ScaledValue.round_checked sees it
+        return x.round_checked(mode)
+
     def __str__(self) -> str:
         return f"scaled({self.frac_digits})"
 
@@ -118,6 +124,9 @@ Arithmetic = Union[FloorEachOp, NearestEachOp, RationalBackend, ScaledBackend]
 class ExactFinal:
     final_mode: RoundingMode = RoundingMode.NEAREST_HALF_UP
     backend: Backend = field(default_factory=ScaledBackend)
+
+    def round(self, value: TermValue) -> int:
+        return self.backend.round(value, self.final_mode)
 
     def __str__(self) -> str:
         return f"final-{self.final_mode.value}"
@@ -196,11 +205,7 @@ def round_final(value: TermValue, policy: Policy) -> int:
     The Scaled backend verifies its error bound clears the rounding
     boundary and raises RoundingUndecidableError otherwise.
     """
-    if isinstance(value, int):
-        return value
-    if isinstance(value, ScaledValue):
-        return value.round_checked(policy.final_mode)
-    return ratio_round(value, policy.final_mode)
+    return policy.round(value)
 
 
 def varman_circumference(

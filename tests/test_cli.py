@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from paridhi.cli import execute, render
+from paridhi.cli import POLICY_CHOICES, execute, render
 from paridhi.madhava_formulas import F3, fixed_point, scan_range
 from paridhi.series_engine import FLOOR_EACH_OP, build_ledger
 
@@ -284,6 +284,41 @@ class TestSqrtCommand:
         code, out, err = run("sqrt", "10", *flags)
         assert (code, out) == (2, "")
         assert err.startswith("error: --")
+
+
+class TestIgnoredFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decode", "--system", "katapayadi", "--lexicon", "/nonexistent.tsv", "ka"],
+            ["scan", "--formula", "f4", "--diameter", D12, "--from", "1", "--to", "2",
+             "--policy", "floor", "--final-mode", "floor"],
+            ["circumference", "--formula", "f3", "--correction", "c1", "--diameter", D12,
+             "--terms", "3", "--policy", "floor"],
+            ["fixed-point", "--formula", "f4", "--correction", "c3", "--diameter", D12,
+             "--policy", "floor"],
+        ],
+    )
+    def test_flags_that_change_nothing_are_usage_errors(self, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --")
+
+    def test_defaults_still_apply_where_the_flags_matter(self):
+        scan = ["scan", "--formula", "f2", "--diameter", D12, "--from", "38", "--to", "38",
+                "--policy", "all", "--format", "csv"]
+        assert run(*scan) == run(*scan, "--correction", "c3", "--final-mode", "nearest")
+
+
+class TestPolicyCodes:
+    @pytest.mark.parametrize("backend", ["scaled", "rational"])
+    @pytest.mark.parametrize("code", POLICY_CHOICES)
+    def test_record_names_the_requested_policy(self, code, backend):
+        status, out, _ = run("circumference", "--formula", "f4", "--diameter", D12,
+                             "--terms", "5", "--policy", code, "--backend", backend,
+                             "--format", "json")
+        assert status == 0
+        assert json.loads(out)[0]["policy"] == code
 
 
 class TestCompare:

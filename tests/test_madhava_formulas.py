@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paridhi.exact_arith import RoundingMode, RoundingUndecidableError, nearest_div, ratio_round
@@ -192,6 +192,31 @@ class TestVanishOnset:
         mode = FLOOR if isinstance(policy, type(FLOOR_EACH_OP)) else NEAREST
         assert ratio_round(term(onset), mode) == 0
         assert ratio_round(term(onset - 1), mode) >= 1
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from([F3(), F4()]),
+        st.sampled_from([FLOOR, NEAREST]),
+    )
+    @example(1, F3(), NEAREST)
+    @example(5, F3(), FLOOR)
+    def test_onset_is_the_threshold_for_any_diameter(self, diameter, formula, mode):
+        def term(n):
+            if isinstance(formula, F3):
+                b = 2 * n + 1
+                return Fraction(4 * diameter, b**3 - b)
+            b = 2 * n - 1
+            return Fraction(16 * diameter, b**5 + 4 * b)
+
+        policy = FLOOR_EACH_OP if mode is FLOOR else NEAREST_EACH_OP
+        onset = vanish_onset(formula, diameter, policy)
+        assert ratio_round(term(onset), mode) == 0
+        assert onset == 1 or ratio_round(term(onset - 1), mode) >= 1
+
+    def test_small_f3_diameters_vanish_at_the_first_term(self):
+        # the first F3 term is 4D/24, below 1 exactly for D <= 5
+        onsets = [vanish_onset(F3(), d, FLOOR_EACH_OP) for d in range(1, 7)]
+        assert onsets == [1, 1, 1, 1, 1, 2]
 
     def test_unsupported_formulas(self):
         with pytest.raises(UnsupportedFormulaError):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from paridhi.exact_arith import DomainError, RoundingMode
+from paridhi.exact_arith import DomainError, RoundingMode, ratio_round
 from paridhi.reference_pi import (
     PI,
+    PI_DIGIT_STRING,
     InsufficientPrecisionError,
     PiReference,
     matching_decimal_places,
@@ -42,6 +43,19 @@ class TestPiReference:
     def test_places_out_of_range(self):
         with pytest.raises(DomainError):
             PI.as_ratio(21)
+
+    @pytest.mark.parametrize("places", range(20))
+    def test_truncated_and_rounded_match_ratio_round(self, places):
+        scaled = Fraction(int(PI_DIGIT_STRING.replace(".", "")), 10 ** (20 - places))
+        assert PI.truncated_int(places) == ratio_round(scaled, FLOOR)
+        assert PI.rounded_int(places) == ratio_round(scaled, NEAREST)
+
+    def test_integer_places_out_of_range(self):
+        assert PI.truncated_int(20) == 314159265358979323846
+        with pytest.raises(DomainError):
+            PI.truncated_int(21)
+        with pytest.raises(DomainError):
+            PI.rounded_int(20)
 
 
 class TestTrueCircumference:
