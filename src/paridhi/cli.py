@@ -23,14 +23,13 @@ from .madhava_formulas import (
     F2,
     F3,
     F4,
+    FORMULAS,
     ConvergenceReport,
     CorrectionId,
     FormulaId,
     NoConvergenceError,
-    correction_code,
     circumference,
     fixed_point,
-    formula_code,
     scan_range,
     vanish_onset,
 )
@@ -76,15 +75,11 @@ def _make_policy(code: str, backend: str = "scaled", frac_digits: int = 40) -> P
 
 
 def _make_formula(code: str, correction: str | None) -> FormulaId:
-    if code != "f2" and correction is not None:
+    if code == F2.code:
+        return F2(CorrectionId(correction or CorrectionId.C3.value))
+    if correction is not None:
         raise UsageError("--correction applies only to --formula f2")
-    if code == "f1":
-        return F1()
-    if code == "f2":
-        return F2(CorrectionId(correction or "c3"))
-    if code == "f3":
-        return F3()
-    return F4()
+    return FORMULAS[code]()
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +151,7 @@ def render(results, fmt: str = "table") -> str:
     if isinstance(results, SqrtTrace):
         return _write(fmt, TRACE_HEADERS, _trace_rows(results), lambda *_: _worksheet(results))
     if isinstance(results, ConvergenceReport):
-        record = {
-            "formula": formula_code(results.formula),
-            "correction": correction_code(results.formula),
-            "diameter": results.diameter,
-            "policy": str(results.policy),
-            "fixed_value": results.fixed_value,
-            "onset": results.onset,
-            "method": str(results.method),
-            "max_terms_examined": results.max_terms_examined,
-        }
+        record = results.record()
         return _write(fmt, list(record), [list(record.values())], _key_values)
     return _write(fmt, RESULT_HEADERS, _result_rows(results), _result_table)
 
@@ -369,8 +355,8 @@ def _add_backend_flags(sub) -> None:
 
 
 def _add_series_flags(sub, policies: list[str]) -> None:
-    sub.add_argument("--formula", choices=["f1", "f2", "f3", "f4"], required=True)
-    sub.add_argument("--correction", choices=["c1", "c2", "c3"], default=None,
+    sub.add_argument("--formula", choices=list(FORMULAS), required=True)
+    sub.add_argument("--correction", choices=[c.value for c in CorrectionId], default=None,
                      help="correction term of f2 (default c3)")
     sub.add_argument("--diameter", type=_plain_int, required=True)
     sub.add_argument("--policy", choices=policies, required=True)
@@ -417,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fixed_point)
 
     p = subs.add_parser("onset", help="smallest n whose rounded term vanishes")
-    p.add_argument("--formula", choices=["f3", "f4"], required=True)
+    p.add_argument("--formula", choices=[F3.code, F4.code], required=True)
     p.add_argument("--policy", choices=MODE_CHOICES, required=True)
     p.add_argument("--diameter", type=_plain_int, required=True)
     p.set_defaults(handler=_cmd_onset)

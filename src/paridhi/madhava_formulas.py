@@ -1,12 +1,9 @@
 """Four attributed circumference formulas, correction terms, and convergence.
 
-The formulas, for a circle of diameter D:
-
-* F1 -- the root-12 series (delegated to the series ledger engine),
-* F2 -- 4D/1 - 4D/3 + ... + (-1)^(n-1) 4D/(2n-1), plus an alternating-sign
-        correction term 4D*F(n) appended with sign (-1)^n,
-* F3 -- 3D + 4D/(3^3-3) - 4D/(5^3-5) + ...,
-* F4 -- 16D/(1^5+4*1) - 16D/(3^5+4*3) + ...
+Each formula class, F1-F4 for a circle of diameter D, carries its code,
+its terms, the exact multiple of D they are added to and, for F2, its
+correction and that correction's code.  The CLI builds formulas from the
+FORMULAS code table; only vanish_onset's input check tests a formula's type.
 
 Every term is produced by exactly one rounded division: the numerator is
 formed exactly as an integer, divided once by the exact denominator, and
@@ -19,22 +16,19 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
 from itertools import chain, count, islice, repeat
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .exact_arith import DomainError
 from .series_engine import (
-    Arithmetic,
     FloorEachOp,
     NearestEachOp,
     Policy,
     TermValue,
     arithmetic,
     ledger_rows,
-    round_final,
 )
 
 
@@ -52,55 +46,134 @@ class CorrectionId(enum.Enum):
     C3 = "c3"  # F(n) = (n^2+1)/(n(4n^2+5))
 
 
-@dataclass(frozen=True)
-class F1:
-    pass
+def correction_fraction(correction: CorrectionId, n: int) -> Fraction:
+    """The correction F(n) as an exact rational."""
+    if n < 1:
+        raise DomainError("correction index must be positive")
+    if correction is CorrectionId.C1:
+        return Fraction(1, 4 * n)
+    if correction is CorrectionId.C2:
+        return Fraction(n, 4 * n * n + 1)
+    return Fraction(n * n + 1, n * (4 * n * n + 5))
+
+
+class _Formula:
+    """leading*D + factor*D/d_1 - factor*D/d_2 + ...; F1-F4 set code and override the rest."""
+
+    correction_code = ""  # only F2 has a correction
+    leading = 0  # the exact multiple of D the terms are added to
+    factor = 4  # every term's numerator is factor * D
+
+    def terms(self, diameter: int, policy: Policy) -> Iterator[TermValue]:
+        if diameter <= 0:
+            raise DomainError("diameter must be positive")
+        # The numerator is the same for every term, so it is not recomputed.
+        return map(arithmetic(policy).ratio, repeat(self.factor * diameter), self.denominators())
+
+    def denominators(self) -> Iterator[int]:
+        return map(self.denominator, count(1))
+
+    def finisher(self, diameter: int, policy: Policy) -> Callable[[int, TermValue], int]:
+        """The step that turns the partial sum of n terms into the circumference."""
+        return lambda n, total: policy.round(total)
+
+    def analytic_onset(self, diameter: int, policy: Policy) -> int | None:
+        """Under an integer policy, the n from which every rounded term is zero, if known."""
+        return vanish_onset(self, diameter, policy)
 
 
 @dataclass(frozen=True)
-class F2:
+class F1(_Formula):
+    """The root-12 series: its terms are the series ledger's t_k."""
+
+    code = "f1"
+
+    def terms(self, diameter: int, policy: Policy) -> Iterator[TermValue]:
+        return (row.t for row in ledger_rows(diameter, policy))
+
+    def analytic_onset(self, diameter: int, policy: Policy) -> int:
+        # the ledger ends at its first row with x = 0
+        return sum(1 for _ in ledger_rows(diameter, policy))
+
+
+@dataclass(frozen=True)
+class F2(_Formula):
+    """4D/1 - 4D/3 + ... ± 4D/(2n-1), then the correction 4D*F(n) with sign (-1)^n."""
+
     correction: CorrectionId
+    code = "f2"
+
+    @property
+    def correction_code(self) -> str:
+        return self.correction.value
+
+    def denominators(self) -> Iterator[int]:
+        return count(1, 2)
+
+    def finisher(self, diameter: int, policy: Policy) -> Callable[[int, TermValue], int]:
+        """Attach the correction 4D*F(n) for n terms, with sign (-1)^n, then round."""
+        ratio = arithmetic(policy).ratio
+
+        def finish(n: int, total: TermValue) -> int:
+            f = correction_fraction(self.correction, n)
+            corr = ratio(4 * diameter * f.numerator, f.denominator)
+            return policy.round(total + corr if n % 2 == 0 else total - corr)
+
+        return finish
+
+    def analytic_onset(self, diameter: int, policy: Policy) -> None:
+        return None  # the rounded terms vanish only past n = 2D (floor) or 4D (nearest)
 
 
 @dataclass(frozen=True)
-class F3:
-    pass
+class F3(_Formula):
+    """3D + 4D/(3^3-3) - 4D/(5^3-5) + ..."""
+
+    code = "f3"
+    leading = 3  # 3D is an exact integer product, never rounded
+
+    @staticmethod
+    def denominator(k: int) -> int:
+        b = 2 * k + 1
+        return b**3 - b
 
 
 @dataclass(frozen=True)
-class F4:
-    pass
+class F4(_Formula):
+    """16D/(1^5+4*1) - 16D/(3^5+4*3) + ..."""
+
+    code = "f4"
+    factor = 16
+
+    @staticmethod
+    def denominator(k: int) -> int:
+        b = 2 * k - 1
+        return b**5 + 4 * b
 
 
 FormulaId = Union[F1, F2, F3, F4]
+FORMULAS = {formula.code: formula for formula in (F1, F2, F3, F4)}
 
 
-def formula_code(formula: FormulaId) -> str:
-    return {F1: "f1", F2: "f2", F3: "f3", F4: "f4"}[type(formula)]
+class _Record:
+    """A result whose first field is its formula."""
 
-
-def correction_code(formula: FormulaId) -> str:
-    return formula.correction.value if isinstance(formula, F2) else ""
+    def record(self) -> dict:
+        """CSV/JSON record: the formula's codes, then the other fields, non-integers as text."""
+        record = {"formula": self.formula.code, "correction": self.formula.correction_code}
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            record[field.name] = value if isinstance(value, int) else str(value)
+        return record
 
 
 @dataclass(frozen=True)
-class ComputationResult:
+class ComputationResult(_Record):
     formula: FormulaId
     diameter: int
     n: int
     policy: Policy
     circumference: int
-
-    def record(self) -> dict:
-        """Flat record with exact decimal integers, for CSV/JSON output."""
-        return {
-            "formula": formula_code(self.formula),
-            "correction": correction_code(self.formula),
-            "diameter": self.diameter,
-            "n": self.n,
-            "policy": str(self.policy),
-            "circumference": self.circumference,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,7 +191,7 @@ class WindowedScan:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Record):
     formula: FormulaId
     diameter: int
     policy: Policy
@@ -126,48 +199,6 @@ class ConvergenceReport:
     onset: int
     method: AnalyticVanish | WindowedScan
     max_terms_examined: int
-
-
-def correction_fraction(correction: CorrectionId, n: int) -> Fraction:
-    """The correction F(n) as an exact rational."""
-    if n < 1:
-        raise DomainError("correction index must be positive")
-    if correction is CorrectionId.C1:
-        return Fraction(1, 4 * n)
-    if correction is CorrectionId.C2:
-        return Fraction(n, 4 * n * n + 1)
-    return Fraction(n * n + 1, n * (4 * n * n + 5))
-
-
-def _correction(
-    correction: CorrectionId, n: int, diameter: int, a: Arithmetic
-) -> TermValue:
-    f = correction_fraction(correction, n)
-    return a.ratio(4 * diameter * f.numerator, f.denominator)
-
-
-def _numerator(formula: FormulaId, diameter: int) -> int:
-    """The numerator every term of F2, F3 or F4 shares."""
-    return 16 * diameter if isinstance(formula, F4) else 4 * diameter
-
-
-def _denominator(formula: FormulaId, k: int) -> int:
-    """Exact denominator of the k-th term of F2, F3 or F4."""
-    if isinstance(formula, F3):
-        b = 2 * k + 1
-        return b**3 - b
-    b = 2 * k - 1
-    return b**5 + 4 * b if isinstance(formula, F4) else b
-
-
-def _leading(formula: FormulaId, diameter: int) -> int:
-    # F3's leading 3D is an exact integer product, never rounded.
-    return 3 * diameter if isinstance(formula, F3) else 0
-
-
-def _validate(n: int) -> None:
-    if n < 1:
-        raise DomainError("term count must be positive")
 
 
 def _partial_sums(
@@ -179,32 +210,11 @@ def _partial_sums(
     stops, except that under integer policies F1 ends with the ledger's
     last row: every later term is zero.
     """
-    a = arithmetic(policy)
-    if isinstance(formula, F1):
-        terms = (row.t for row in ledger_rows(diameter, policy))
-    else:
-        if diameter <= 0:
-            raise DomainError("diameter must be positive")
-        # The numerator is the same for every term, so it is not recomputed.
-        if isinstance(formula, F2):
-            denominators = count(1, 2)
-        else:
-            denominators = map(partial(_denominator, formula), count(1))
-        terms = map(a.ratio, repeat(_numerator(formula, diameter)), denominators)
-    total = a.seed(_leading(formula, diameter))
+    terms = formula.terms(diameter, policy)
+    total = arithmetic(policy).seed(formula.leading * diameter)
     for n, t in enumerate(terms, 1):
         total = total + t if n % 2 else total - t
         yield n, total
-
-
-def _finish(
-    formula: FormulaId, diameter: int, policy: Policy, n: int, total: TermValue
-) -> int:
-    """Attach F2's correction for n terms to a partial sum and round it."""
-    if isinstance(formula, F2):
-        corr = _correction(formula.correction, n, diameter, arithmetic(policy))
-        total = total + corr if n % 2 == 0 else total - corr
-    return round_final(total, policy)
 
 
 def _values(
@@ -212,9 +222,10 @@ def _values(
 ) -> Iterator[tuple[int, int]]:
     """Yield (n, circumference) for n = n_from..n_to; no other row is rounded."""
     sums = _partial_sums(formula, diameter, policy)
+    finish = formula.finisher(diameter, policy)
     head = deque(islice(sums, n_from), maxlen=1)  # row n_from, or F1's last row
     for n, total in chain(head, islice(sums, n_to - n_from)):
-        value = _finish(formula, diameter, policy, n, total)
+        value = finish(n, total)
         if n >= n_from:
             yield n, value
     # F1 past the ledger's last row repeats its sum
@@ -225,16 +236,15 @@ def circumference(
     formula: FormulaId, diameter: int, n: int, policy: Policy
 ) -> ComputationResult:
     """Evaluate the formula with n terms under the given policy."""
-    _validate(n)
-    [(_, value)] = _values(formula, diameter, policy, n, n)
-    return ComputationResult(formula, diameter, n, policy, value)
+    return scan_range(formula, diameter, policy, n, n)[0]
 
 
 def scan_range(
     formula: FormulaId, diameter: int, policy: Policy, n_from: int, n_to: int
 ) -> list[ComputationResult]:
     """One result per n in [n_from, n_to], computed incrementally."""
-    _validate(n_from)
+    if n_from < 1:
+        raise DomainError("term count must be positive")
     if n_to < n_from:
         raise DomainError("scan range must satisfy n_from <= n_to")
     return [
@@ -251,16 +261,16 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
     """
     if not isinstance(formula, (F3, F4)):
         raise UnsupportedFormulaError(
-            f"vanish onset is only defined for f3/f4, not {formula_code(formula)}"
+            f"vanish onset is only defined for f3/f4, not {formula.code}"
         )
     if not isinstance(policy, (FloorEachOp, NearestEachOp)):
         raise UnsupportedFormulaError("vanish onset needs an integer rounding policy")
     if diameter <= 0:
         raise DomainError("diameter must be positive")
-    numerator = _numerator(formula, diameter)
+    numerator = formula.factor * diameter
 
     def vanished(n: int) -> bool:
-        return policy.ratio(numerator, _denominator(formula, n)) == 0
+        return policy.ratio(numerator, formula.denominator(n)) == 0
 
     hi = 1
     while not vanished(hi):
@@ -288,20 +298,17 @@ def fixed_point(
         raise DomainError("window must be positive")
     if max_terms < 1:
         raise DomainError("max_terms must be positive")
-    if isinstance(policy, (FloorEachOp, NearestEachOp)) and not isinstance(formula, F2):
-        if isinstance(formula, F1):  # the ledger ends at its first row with x = 0
-            onset = sum(1 for _ in ledger_rows(diameter, policy))
-        else:
-            onset = vanish_onset(formula, diameter, policy)
+    onset = None
+    if isinstance(policy, (FloorEachOp, NearestEachOp)):
+        onset = formula.analytic_onset(diameter, policy)
+    if onset is not None:
         value = circumference(formula, diameter, onset, policy).circumference
         return ConvergenceReport(
             formula, diameter, policy, value, onset, AnalyticVanish(), onset
         )
     run_start = None
     prev = None
-    examined = 0
     for n, value in _values(formula, diameter, policy, 1, max_terms):
-        examined = n
         if value != prev:
             run_start = n
             prev = value
@@ -310,6 +317,6 @@ def fixed_point(
                 formula, diameter, policy, value, run_start, WindowedScan(window), n
             )
     raise NoConvergenceError(
-        f"no convergence detected within {examined} terms "
+        f"no convergence detected within {max_terms} terms "
         f"(window {window}); the value kept changing"
     )

@@ -94,6 +94,10 @@ class ScaledBackend:
 
     frac_digits: int = 40
 
+    def __post_init__(self) -> None:
+        if self.frac_digits < 0:
+            raise DomainError("frac_digits must be non-negative")
+
     def seed(self, n: int) -> ScaledValue:
         return ScaledValue.from_int(n, self.frac_digits)
 

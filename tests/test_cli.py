@@ -321,6 +321,37 @@ class TestPolicyCodes:
         assert json.loads(out)[0]["policy"] == code
 
 
+class TestFormulaCodes:
+    @pytest.mark.parametrize("command", [["circumference", "--terms", "5"], ["fixed-point"]])
+    @pytest.mark.parametrize(
+        "formula,correction",
+        [("f1", ""), ("f2", "c1"), ("f2", "c2"), ("f2", "c3"), ("f3", ""), ("f4", "")],
+    )
+    def test_record_names_the_requested_formula(self, command, formula, correction):
+        flags = ["--correction", correction] if correction else []
+        status, out, err = run(command[0], "--formula", formula, *flags, "--diameter", "1000",
+                               "--policy", "final-nearest", "--format", "json", *command[1:])
+        assert status == 0, err
+        [record] = json.loads(out)
+        assert (record["formula"], record["correction"]) == (formula, correction)
+
+
+class TestNegativeFracDigits:
+    @pytest.mark.parametrize("policy", ["floor", "final-nearest"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["varman", "--diameter", "100", "--terms", "5"],
+            ["circumference", "--formula", "f2", "--diameter", D12, "--terms", "3"],
+            ["scan", "--formula", "f4", "--diameter", D12, "--from", "1", "--to", "3"],
+            ["fixed-point", "--formula", "f3", "--diameter", D12],
+        ],
+    )
+    def test_is_a_domain_error(self, argv, policy):
+        code, out, err = run(*argv, "--policy", policy, "--frac-digits", "-3")
+        assert (code, out, err) == (1, "", "error: frac_digits must be non-negative\n")
+
+
 class TestCompare:
     def test_madhava_value(self):
         _, out, _ = run("compare", "--circumference", "2827433388233", "--diameter", D12)

@@ -219,9 +219,9 @@ class TestVanishOnset:
         assert onsets == [1, 1, 1, 1, 1, 2]
 
     def test_unsupported_formulas(self):
-        with pytest.raises(UnsupportedFormulaError):
+        with pytest.raises(UnsupportedFormulaError, match="not f1$"):
             vanish_onset(F1(), D, FLOOR_EACH_OP)
-        with pytest.raises(UnsupportedFormulaError):
+        with pytest.raises(UnsupportedFormulaError, match="not f2$"):
             vanish_onset(F2C3, D, FLOOR_EACH_OP)
         with pytest.raises(UnsupportedFormulaError):
             vanish_onset(F3(), D, FINAL_NEAREST)
