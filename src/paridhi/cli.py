@@ -69,7 +69,8 @@ def _plain_int(text: str) -> int:
 
 
 def _make_policy(code: str, backend: str = "scaled", frac_digits: int = 40) -> Policy:
-    back = RationalBackend() if backend == "rational" else ScaledBackend(frac_digits)
+    scaled = ScaledBackend(frac_digits)  # rejects a negative frac_digits whatever the backend
+    back = RationalBackend() if backend == "rational" else scaled
     policies = [FLOOR_EACH_OP, NEAREST_EACH_OP, *(ExactFinal(mode, back) for mode in RoundingMode)]
     return next(policy for policy in policies if str(policy) == code)
 

@@ -5,10 +5,12 @@ its terms, the exact multiple of D they are added to and, for F2, its
 correction and that correction's code.  The CLI builds formulas from the
 FORMULAS code table; only vanish_onset's input check tests a formula's type.
 
-Every term is produced by exactly one rounded division: the numerator is
-formed exactly as an integer, divided once by the exact denominator, and
-the rounded terms are summed with their signs.  Under ExactFinal policies
-the terms stay exact and a single rounding is applied to each partial sum.
+Every F2-F4 term is the exact integer factor*D divided by its exact
+denominator and rounded as the policy rounds.  A reader's first row sums
+the odd and the even positions in one bulk pass each (sum_ratios); each
+later row, like each F1 term (a ledger row), adds one term.  Under
+ExactFinal policies the terms stay exact and a single rounding is
+applied to each partial sum.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
-from typing import Callable, Iterator, Union
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Union
 
 from .exact_arith import DomainError
 from .series_engine import (
@@ -30,6 +32,9 @@ from .series_engine import (
     arithmetic,
     ledger_rows,
 )
+
+
+Sums = Iterator[tuple[int, TermValue]]  # (n, the partial sum of n terms)
 
 
 class NoConvergenceError(RuntimeError):
@@ -64,22 +69,33 @@ class _Formula:
     leading = 0  # the exact multiple of D the terms are added to
     factor = 4  # every term's numerator is factor * D
 
-    def terms(self, diameter: int, policy: Policy) -> Iterator[TermValue]:
+    def partial_sums(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Sums:
+        """Yield (n, leading*D + t_1 - t_2 + ... ± t_n) for n = n_from..n_to: the first
+        row sums the odd and the even positions in one bulk pass each, later rows add a term."""
         if diameter <= 0:
             raise DomainError("diameter must be positive")
-        # The numerator is the same for every term, so it is not recomputed.
-        return map(arithmetic(policy).ratio, repeat(self.factor * diameter), self.denominators())
+        a = arithmetic(policy)
+        numerator = self.factor * diameter  # the same for every term
+        heads = (self.denominators(range(k, n_from + 1, 2)) for k in (1, 2))  # odd, even positions
+        odd, even = (a.sum_ratios(numerator, ds) for ds in heads)
+        total = a.seed(self.leading * diameter) + odd - even
+        yield n_from, total
+        terms = map(a.ratio, repeat(numerator), self.denominators(range(n_from + 1, n_to + 1)))
+        for n, t in enumerate(terms, n_from + 1):
+            total = total + t if n % 2 else total - t
+            yield n, total
 
-    def denominators(self) -> Iterator[int]:
-        return map(self.denominator, count(1))
+    def denominators(self, ks: range) -> Iterable[int]:  # of the terms at positions ks
+        return map(self.denominator, ks)
 
     def finisher(self, diameter: int, policy: Policy) -> Callable[[int, TermValue], int]:
         """The step that turns the partial sum of n terms into the circumference."""
         return lambda n, total: policy.round(total)
 
-    def analytic_onset(self, diameter: int, policy: Policy) -> int | None:
-        """Under an integer policy, the n from which every rounded term is zero, if known."""
-        return vanish_onset(self, diameter, policy)
+    def analytic_fixed_point(self, diameter: int, policy: Policy) -> tuple[int, int] | None:
+        """Under an integer policy, the n from which every rounded term is zero and the value."""
+        onset = vanish_onset(self, diameter, policy)
+        return onset, circumference(self, diameter, onset, policy).circumference
 
 
 @dataclass(frozen=True)
@@ -88,12 +104,24 @@ class F1(_Formula):
 
     code = "f1"
 
-    def terms(self, diameter: int, policy: Policy) -> Iterator[TermValue]:
-        return (row.t for row in ledger_rows(diameter, policy))
+    @staticmethod
+    def _ledger_sums(diameter: int, policy: Policy) -> Sums:
+        total = arithmetic(policy).seed(0)
+        for row in ledger_rows(diameter, policy):
+            total = total + row.t if row.k % 2 else total - row.t
+            yield row.k, total
 
-    def analytic_onset(self, diameter: int, policy: Policy) -> int:
-        # the ledger ends at its first row with x = 0
-        return sum(1 for _ in ledger_rows(diameter, policy))
+    def partial_sums(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Sums:
+        for n, total in islice(self._ledger_sums(diameter, policy), n_to):
+            if n >= n_from:
+                yield n, total
+        # past the ledger's last row (integer policies) every term is zero
+        yield from zip(range(max(n + 1, n_from), n_to + 1), repeat(total))
+
+    def analytic_fixed_point(self, diameter: int, policy: Policy) -> tuple[int, int]:
+        # the ledger ends at its first row with x = 0, and its sum is the fixed value
+        [(onset, total)] = deque(self._ledger_sums(diameter, policy), maxlen=1)
+        return onset, policy.round(total)
 
 
 @dataclass(frozen=True)
@@ -107,8 +135,8 @@ class F2(_Formula):
     def correction_code(self) -> str:
         return self.correction.value
 
-    def denominators(self) -> Iterator[int]:
-        return count(1, 2)
+    def denominators(self, ks: range) -> range:
+        return range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
 
     def finisher(self, diameter: int, policy: Policy) -> Callable[[int, TermValue], int]:
         """Attach the correction 4D*F(n) for n terms, with sign (-1)^n, then round."""
@@ -121,7 +149,7 @@ class F2(_Formula):
 
         return finish
 
-    def analytic_onset(self, diameter: int, policy: Policy) -> None:
+    def analytic_fixed_point(self, diameter: int, policy: Policy) -> None:
         return None  # the rounded terms vanish only past n = 2D (floor) or 4D (nearest)
 
 
@@ -201,35 +229,13 @@ class ConvergenceReport(_Record):
     max_terms_examined: int
 
 
-def _partial_sums(
-    formula: FormulaId, diameter: int, policy: Policy
-) -> Iterator[tuple[int, TermValue]]:
-    """Yield (n, leading + t_1 - t_2 + ... ± t_n) for n = 1, 2, ...
-
-    This is the one loop that sums terms, and it runs until its reader
-    stops, except that under integer policies F1 ends with the ledger's
-    last row: every later term is zero.
-    """
-    terms = formula.terms(diameter, policy)
-    total = arithmetic(policy).seed(formula.leading * diameter)
-    for n, t in enumerate(terms, 1):
-        total = total + t if n % 2 else total - t
-        yield n, total
-
-
 def _values(
     formula: FormulaId, diameter: int, policy: Policy, n_from: int, n_to: int
 ) -> Iterator[tuple[int, int]]:
     """Yield (n, circumference) for n = n_from..n_to; no other row is rounded."""
-    sums = _partial_sums(formula, diameter, policy)
     finish = formula.finisher(diameter, policy)
-    head = deque(islice(sums, n_from), maxlen=1)  # row n_from, or F1's last row
-    for n, total in chain(head, islice(sums, n_to - n_from)):
-        value = finish(n, total)
-        if n >= n_from:
-            yield n, value
-    # F1 past the ledger's last row repeats its sum
-    yield from zip(range(max(n + 1, n_from), n_to + 1), repeat(value))
+    sums = formula.partial_sums(diameter, policy, n_from, n_to)
+    return ((n, finish(n, total)) for n, total in sums)
 
 
 def circumference(
@@ -298,11 +304,9 @@ def fixed_point(
         raise DomainError("window must be positive")
     if max_terms < 1:
         raise DomainError("max_terms must be positive")
-    onset = None
-    if isinstance(policy, (FloorEachOp, NearestEachOp)):
-        onset = formula.analytic_onset(diameter, policy)
-    if onset is not None:
-        value = circumference(formula, diameter, onset, policy).circumference
+    integer = isinstance(policy, (FloorEachOp, NearestEachOp))
+    if integer and (settled := formula.analytic_fixed_point(diameter, policy)):
+        onset, value = settled
         return ConvergenceReport(
             formula, diameter, policy, value, onset, AnalyticVanish(), onset
         )

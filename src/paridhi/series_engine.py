@@ -18,17 +18,20 @@ handled:
 
 Each integer policy and each ExactFinal backend carries its own arithmetic:
 seed(n) makes the exact integer n a value, root(radicand) is the ledger's
-seed root, ratio(n, d) is the term n/d, div(x, d) divides a value by an
-integer and round rounds a value to an integer.  arithmetic(policy) picks
-the object; policy.round(value) is the one final rounding (round_final).
+seed root, ratio(n, d) is the term n/d, sum_ratios(n, ds) sums ratio(n, d)
+over a stream of denominators in one bulk pass, div(x, d) divides a value
+by an integer and round rounds a value to an integer.  arithmetic(policy)
+picks the object; policy.round(value) is the one final rounding (round_final).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
-from typing import Iterator, Union
+from itertools import count, islice, repeat
+from math import gcd
+from operator import add, floordiv, rshift
+from typing import Iterable, Iterator, Union
 
 from .aryabhata_sqrt import isqrt, isqrt_nearest, sqrt_scaled
 from .exact_arith import (
@@ -51,6 +54,10 @@ class FloorEachOp:
     def root(self, radicand: int) -> int:
         return isqrt(radicand)[0]
 
+    @staticmethod
+    def sum_ratios(n: int, ds: Iterable[int]) -> int:
+        return sum(map(floordiv, repeat(n), ds))
+
     def __str__(self) -> str:
         return "floor"
 
@@ -64,6 +71,11 @@ class NearestEachOp:
 
     def root(self, radicand: int) -> int:
         return isqrt_nearest(radicand)
+
+    @staticmethod
+    def sum_ratios(n: int, ds: Iterable[int]) -> int:
+        # Hermite: floor(x + 1/2) = floor(2x) - floor(x) = (floor(2x) + 1) >> 1
+        return sum(map(rshift, map(add, map(floordiv, repeat(2 * n), ds), repeat(1)), repeat(1)))
 
     def __str__(self) -> str:
         return "nearest"
@@ -79,6 +91,21 @@ class RationalBackend:
 
     def root(self, radicand: int) -> Fraction:
         return Fraction(isqrt(radicand)[0])
+
+    @staticmethod
+    def sum_ratios(n: int, ds: Iterable[int]) -> Fraction:
+        """n * p/q, with p/q the sum of 1/d built by binary splitting (Haible & Papanikolaou)."""
+        ds = tuple(ds)
+
+        def split(lo: int, hi: int) -> tuple[int, int]:  # p/q over ds[lo:hi], q their lcm
+            if hi - lo == 1:
+                return 1, ds[lo]
+            (p1, q1), (p2, q2) = split(lo, (lo + hi) // 2), split((lo + hi) // 2, hi)
+            g = gcd(q1, q2)
+            return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
+
+        p, q = split(0, len(ds)) if ds else (0, 1)
+        return Fraction(n * p, q)
 
     @staticmethod
     def div(x: Fraction, d: int) -> Fraction:
@@ -106,6 +133,14 @@ class ScaledBackend:
 
     def ratio(self, n: int, d: int) -> ScaledValue:
         return ScaledValue.from_ratio(n, d, self.frac_digits)
+
+    def sum_ratios(self, n: int, ds: Iterable[int]) -> ScaledValue:
+        """The sum of ratio(n, d): the truncated mantissas, one ulp per inexact division."""
+        mantissa = inexact = 0
+        for q, r in map(divmod, repeat(n * 10**self.frac_digits), ds):
+            mantissa += q
+            inexact += r != 0
+        return ScaledValue(mantissa, self.frac_digits, inexact)
 
     @staticmethod
     def div(x: ScaledValue, d: int) -> ScaledValue:

@@ -351,6 +351,20 @@ class TestNegativeFracDigits:
         code, out, err = run(*argv, "--policy", policy, "--frac-digits", "-3")
         assert (code, out, err) == (1, "", "error: frac_digits must be non-negative\n")
 
+    @pytest.mark.parametrize("policy", ["floor", "final-nearest"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["varman", "--diameter", "100", "--terms", "5"],
+            ["circumference", "--formula", "f4", "--diameter", D12, "--terms", "5"],
+            ["scan", "--formula", "f4", "--diameter", D12, "--from", "1", "--to", "3"],
+            ["fixed-point", "--formula", "f3", "--diameter", D12],
+        ],
+    )
+    def test_is_a_domain_error_on_the_rational_backend(self, argv, policy):
+        code, out, err = run(*argv, "--policy", policy, "--backend", "rational", "--frac-digits", "-3")
+        assert (code, out, err) == (1, "", "error: frac_digits must be non-negative\n")
+
 
 class TestCompare:
     def test_madhava_value(self):

@@ -1,11 +1,19 @@
 import math
 from fractions import Fraction
+from itertools import islice, repeat
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paridhi.exact_arith import RoundingMode, RoundingUndecidableError, nearest_div, ratio_round
+from paridhi import madhava_formulas
+from paridhi.exact_arith import (
+    DomainError,
+    RoundingMode,
+    RoundingUndecidableError,
+    nearest_div,
+    ratio_round,
+)
 from paridhi.madhava_formulas import (
     F1,
     F2,
@@ -29,6 +37,8 @@ from paridhi.series_engine import (
     ExactFinal,
     RationalBackend,
     ScaledBackend,
+    arithmetic,
+    ledger_rows,
 )
 
 D = 9 * 10**11
@@ -385,3 +395,118 @@ class TestOracle:
         except RoundingUndecidableError:
             return
         assert scaled.circumference == want[-1]
+
+
+EVERY_FORMULA = [F1(), *(F2(c) for c in CorrectionId), F3(), F4()]
+# the four arithmetics; scaled at 0-6 digits, where undecidable roundings occur
+EVERY_POLICY = [FLOOR_EACH_OP, NEAREST_EACH_OP] + [
+    ExactFinal(mode, backend)
+    for mode in (FLOOR, NEAREST)
+    for backend in (RationalBackend(), ScaledBackend(40), *map(ScaledBackend, range(7)))
+]
+ARITHMETICS = [FLOOR_EACH_OP, NEAREST_EACH_OP, RationalBackend(), *map(ScaledBackend, (0, 3, 40))]
+
+
+def _outcome(call):
+    """What call returns, or the message of the RoundingUndecidableError it raises."""
+    try:
+        return call()
+    except RoundingUndecidableError as exc:
+        return f"undecidable: {exc}"
+
+
+def _row_by_row(formula, diameter, policy, n):
+    """The circumference of n terms, each formed by the policy's own ratio and
+    added one at a time, with only the sum of all n rounded."""
+    a = arithmetic(policy)
+    if isinstance(formula, F1):
+        terms = [row.t for row in islice(ledger_rows(diameter, policy), n)]
+    else:
+        d = (lambda k: 2 * k - 1) if isinstance(formula, F2) else formula.denominator
+        terms = [a.ratio(formula.factor * diameter, d(k)) for k in range(1, n + 1)]
+    total = a.seed(formula.leading * diameter)
+    for k, t in enumerate(terms, 1):
+        total = total + t if k % 2 else total - t
+    return formula.finisher(diameter, policy)(n, total)
+
+
+class TestBulkSums:
+    """circumference sums its first row in bulk; the row-by-row sum must agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(EVERY_FORMULA),
+        st.sampled_from(EVERY_POLICY),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+    )
+    @example(F2C3, ExactFinal(NEAREST, ScaledBackend(0)), D, 30)  # "error bound ≤ 24 ulp ..."
+    def test_bulk_matches_the_row_by_row_sum(self, formula, policy, diameter, n):
+        bulk = _outcome(lambda: circumference(formula, diameter, n, policy).circumference)
+        assert bulk == _outcome(lambda: _row_by_row(formula, diameter, policy, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(EVERY_FORMULA),
+        st.sampled_from(EVERY_POLICY),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+    )
+    def test_circumference_is_the_last_row_of_a_scan_from_one(self, formula, policy, diameter, n):
+        try:
+            last = scan_range(formula, diameter, policy, 1, n)[-1].circumference
+        except RoundingUndecidableError as exc:
+            # the scan stops at its first undecidable row, where circumference fails alike
+            direct = (_outcome(lambda: circumference(formula, diameter, m, policy).circumference)
+                      for m in range(1, n + 1))
+            assert next(v for v in direct if isinstance(v, str)) == f"undecidable: {exc}"
+        else:
+            assert circumference(formula, diameter, n, policy).circumference == last
+
+    @given(
+        st.sampled_from(ARITHMETICS),
+        st.integers(min_value=0, max_value=10**30),
+        st.lists(st.integers(min_value=1, max_value=10**15), max_size=40),
+    )
+    def test_each_sum_is_the_sum_of_its_ratios(self, a, numerator, ds):
+        # for nearest this checks Hermite's identity against nearest_div term by term
+        want = sum(map(a.ratio, repeat(numerator), ds), a.seed(0))
+        assert a.sum_ratios(numerator, iter(ds)) == want
+
+    @pytest.mark.parametrize(
+        "policy",
+        [FLOOR_EACH_OP, NEAREST_EACH_OP, FINAL_NEAREST, ExactFinal(NEAREST, RationalBackend())],
+    )
+    def test_scan_past_a_long_head(self, policy):
+        results = scan_range(F2C3, D, policy, 10**5, 10**5 + 3)
+        assert [r.n for r in results] == list(range(10**5, 10**5 + 4))
+        for result in results:
+            assert result == circumference(F2C3, D, result.n, policy)
+
+    @pytest.mark.parametrize("formula", EVERY_FORMULA)
+    @pytest.mark.parametrize("policy", [FLOOR_EACH_OP, NEAREST_EACH_OP, FINAL_NEAREST,
+                                        ExactFinal(FLOOR, RationalBackend())])
+    @pytest.mark.parametrize("diameter", [0, -1])
+    def test_non_positive_diameter_is_a_domain_error(self, formula, policy, diameter):
+        with pytest.raises(DomainError, match="diameter must be positive"):
+            circumference(formula, diameter, 5, policy)
+        with pytest.raises(DomainError, match="diameter must be positive"):
+            scan_range(formula, diameter, policy, 1, 5)
+        with pytest.raises(DomainError, match="diameter must be positive"):
+            fixed_point(formula, diameter, policy)
+
+    def test_f1_analytic_fixed_point_walks_the_ledger_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ledger_rows(*args)
+
+        monkeypatch.setattr(madhava_formulas, "ledger_rows", counted)
+        report = fixed_point(F1(), 10**17, FLOOR_EACH_OP, max_terms=100)
+        assert report.record() == {
+            "formula": "f1", "correction": "", "diameter": 10**17, "policy": "floor",
+            "fixed_value": 314159265358979324, "onset": 38, "method": "analytic-vanish",
+            "max_terms_examined": 38,
+        }
+        assert len(calls) == 1
