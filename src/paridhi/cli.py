@@ -49,6 +49,7 @@ from .series_engine import (
 
 TABLE_DIAMETER = 9 * 10**11
 LEDGER_DIAMETER = 10**17
+MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # the caps on `scan` rows and `--max-terms`
 
 
 class UsageError(Exception):
@@ -257,6 +258,8 @@ def _cmd_circumference(args) -> str:
 
 def _cmd_scan(args) -> str:
     formula = _make_formula(args.formula, args.correction)
+    if args.n_to - args.n_from >= MAX_SCAN_ROWS:
+        raise DomainError(f"scan covers at most {MAX_SCAN_ROWS} rows")
     if args.policy == "all":
         final_code = f"final-{args.final_mode or 'nearest'}"
         return _scan_all(
@@ -273,6 +276,8 @@ def _cmd_scan(args) -> str:
 def _cmd_fixed_point(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
+    if args.max_terms > MAX_TERMS_CAP:
+        raise DomainError(f"--max-terms is at most {MAX_TERMS_CAP}")
     report = fixed_point(formula, args.diameter, policy, args.window, args.max_terms)
     return render(report, args.format)
 

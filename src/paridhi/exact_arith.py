@@ -66,6 +66,12 @@ def ratio_round(r: Fraction, mode: RoundingMode) -> int:
     return mode.div(r.numerator, r.denominator)
 
 
+def round_enclosure(m: int, e: int, unit: int, mode: RoundingMode) -> int | None:
+    """mode.div(x, unit) if it is the same for every x in [m - e, m + e], else None."""
+    rounded = mode.div(m - e, unit)
+    return rounded if not e or mode.div(m + e, unit) == rounded else None
+
+
 def decimal_string(r: Fraction, places: int) -> str:
     """Exact decimal expansion of r truncated (not rounded) to `places` digits.
 
@@ -162,15 +168,14 @@ class ScaledValue:
         """Round to an integer, verifying the error bound cannot change it."""
         # With error_ulps = p/q the enclosure's ends are (m*q ∓ p) / (10**scale * q).
         p, q = self.error_ulps.numerator, self.error_ulps.denominator
-        m, unit = self.mantissa * q, 10**self.scale * q
-        r_lo = mode.div(m - p, unit)
-        if p and mode.div(m + p, unit) != r_lo:
+        rounded = round_enclosure(self.mantissa * q, p, 10**self.scale * q, mode)
+        if rounded is None:
             near = decimal_string(self.as_fraction(), min(self.scale, 6))
             raise RoundingUndecidableError(
                 f"error bound ≤ {-(-p // q)} ulp at {self.scale} fractional digits straddles "
                 f"a rounding boundary near {near}; increase the number of fractional digits"
             )
-        return r_lo
+        return rounded
 
     def decimal(self, places: int | None = None) -> str:
         return decimal_string(self.as_fraction(), self.scale if places is None else places)

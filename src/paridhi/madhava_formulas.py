@@ -10,7 +10,7 @@ denominator and rounded as the policy rounds.  A reader's first row sums
 the odd and the even positions in one bulk pass each (sum_ratios); each
 later row, like each F1 term (a ledger row), adds one term.  Under
 ExactFinal policies the terms stay exact and a single rounding is
-applied to each partial sum.
+applied to each partial sum, which F2-F4 read as two ints (scaled_sums).
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Union
 
-from .exact_arith import DomainError
+from .exact_arith import DomainError, round_enclosure
 from .series_engine import (
+    ExactFinal,
     FloorEachOp,
     NearestEachOp,
     Policy,
+    ScaledBackend,
     TermValue,
     arithmetic,
     ledger_rows,
@@ -35,6 +37,8 @@ from .series_engine import (
 
 
 Sums = Iterator[tuple[int, TermValue]]  # (n, the partial sum of n terms)
+Scaled = Iterator[tuple[int, int, int]]  # (n, m, c): see _Formula.scaled_sums
+Values = Iterator[tuple[int, int]]  # (n, the circumference from n terms)
 
 
 class NoConvergenceError(RuntimeError):
@@ -69,11 +73,48 @@ class _Formula:
     leading = 0  # the exact multiple of D the terms are added to
     factor = 4  # every term's numerator is factor * D
 
+    def values(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Values:
+        """Yield (n, circumference) for n = n_from..n_to; no other row is rounded."""
+        if diameter <= 0:
+            raise DomainError("diameter must be positive")
+        if not isinstance(policy, ExactFinal):
+            yield from self._finished(diameter, policy, n_from, n_to)
+            return
+        backend, mode = policy.backend, policy.final_mode
+        unit = 10**backend.frac_digits
+        for n, m, c in self.scaled_sums(diameter, backend.frac_digits, n_from, n_to):
+            value, digits = round_enclosure(m, c, unit, mode), backend.frac_digits
+            while value is None and digits < backend.max_digits:  # undecided: double them (Ziv)
+                digits *= 2
+                [(_, m, c)] = self.scaled_sums(diameter, digits, n, n)
+                value = round_enclosure(m, c, 10**digits, mode)
+            if value is None:  # past the cap: the backend's own sum, exact or failing loudly
+                [(_, value)] = self._finished(diameter, policy, n, n)
+            yield n, value
+
+    def _finished(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Values:
+        finish = self.finisher(diameter, policy)
+        sums = self.partial_sums(diameter, policy, n_from, n_to)
+        return ((n, finish(n, total)) for n, total in sums)
+
+    def scaled_sums(self, diameter: int, digits: int, n_from: int, n_to: int) -> Scaled:
+        """Yield (n, m, c) for n = n_from..n_to: m is the sum to round in units of 10**-digits,
+        each quotient truncated, and c counts the inexact divisions, so it is within c of m."""
+        scaled = ExactFinal(backend=ScaledBackend(digits))  # only for the first row
+        [(_, head)] = self.partial_sums(diameter, scaled, n_from, n_from)
+        m, c = head.mantissa, head.error_ulps
+        yield n_from, m, c
+        numerator = self.factor * diameter * 10**digits
+        quotients = map(divmod, repeat(numerator), self.denominators(range(n_from + 1, n_to + 1)))
+        for n, (q, r) in enumerate(quotients, n_from + 1):
+            m = m + q if n % 2 else m - q
+            if r:
+                c += 1
+            yield n, m, c
+
     def partial_sums(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Sums:
         """Yield (n, leading*D + t_1 - t_2 + ... ± t_n) for n = n_from..n_to: the first
         row sums the odd and the even positions in one bulk pass each, later rows add a term."""
-        if diameter <= 0:
-            raise DomainError("diameter must be positive")
         a = arithmetic(policy)
         numerator = self.factor * diameter  # the same for every term
         heads = (self.denominators(range(k, n_from + 1, 2)) for k in (1, 2))  # odd, even positions
@@ -103,6 +144,7 @@ class F1(_Formula):
     """The root-12 series: its terms are the series ledger's t_k."""
 
     code = "f1"
+    values = _Formula._finished  # its ledger rows, under every policy
 
     @staticmethod
     def _ledger_sums(diameter: int, policy: Policy) -> Sums:
@@ -148,6 +190,13 @@ class F2(_Formula):
             return policy.round(total + corr if n % 2 == 0 else total - corr)
 
         return finish
+
+    def scaled_sums(self, diameter: int, digits: int, n_from: int, n_to: int) -> Scaled:
+        numerator = 4 * diameter * 10**digits  # the correction, as the finisher attaches it
+        for n, m, c in super().scaled_sums(diameter, digits, n_from, n_to):
+            f = correction_fraction(self.correction, n)
+            q, r = divmod(numerator * f.numerator, f.denominator)
+            yield n, m - q if n % 2 else m + q, c + 1 if r else c
 
     def analytic_fixed_point(self, diameter: int, policy: Policy) -> None:
         return None  # the rounded terms vanish only past n = 2D (floor) or 4D (nearest)
@@ -229,15 +278,6 @@ class ConvergenceReport(_Record):
     max_terms_examined: int
 
 
-def _values(
-    formula: FormulaId, diameter: int, policy: Policy, n_from: int, n_to: int
-) -> Iterator[tuple[int, int]]:
-    """Yield (n, circumference) for n = n_from..n_to; no other row is rounded."""
-    finish = formula.finisher(diameter, policy)
-    sums = formula.partial_sums(diameter, policy, n_from, n_to)
-    return ((n, finish(n, total)) for n, total in sums)
-
-
 def circumference(
     formula: FormulaId, diameter: int, n: int, policy: Policy
 ) -> ComputationResult:
@@ -255,7 +295,7 @@ def scan_range(
         raise DomainError("scan range must satisfy n_from <= n_to")
     return [
         ComputationResult(formula, diameter, n, policy, value)
-        for n, value in _values(formula, diameter, policy, n_from, n_to)
+        for n, value in formula.values(diameter, policy, n_from, n_to)
     ]
 
 
@@ -312,7 +352,7 @@ def fixed_point(
         )
     run_start = None
     prev = None
-    for n, value in _values(formula, diameter, policy, 1, max_terms):
+    for n, value in formula.values(diameter, policy, 1, max_terms):
         if value != prev:
             run_start = n
             prev = value

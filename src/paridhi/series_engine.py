@@ -85,6 +85,7 @@ class NearestEachOp:
 class RationalBackend:
     """Exact fractions, seeded with the integer floor root."""
 
+    frac_digits, max_digits = 40, 320  # the digits a formula's sums are read at, and their cap
     seed = staticmethod(Fraction)
     ratio = staticmethod(Fraction)
     round = staticmethod(ratio_round)
@@ -133,6 +134,8 @@ class ScaledBackend:
 
     def ratio(self, n: int, d: int) -> ScaledValue:
         return ScaledValue.from_ratio(n, d, self.frac_digits)
+
+    max_digits = property(lambda self: self.frac_digits)  # a fixed precision: never doubled
 
     def sum_ratios(self, n: int, ds: Iterable[int]) -> ScaledValue:
         """The sum of ratio(n, d): the truncated mantissas, one ulp per inexact division."""

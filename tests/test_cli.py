@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from paridhi.cli import POLICY_CHOICES, execute, render
+from paridhi.cli import MAX_SCAN_ROWS, MAX_TERMS_CAP, POLICY_CHOICES, execute, render
 from paridhi.madhava_formulas import F3, fixed_point, scan_range
 from paridhi.series_engine import FLOOR_EACH_OP, build_ledger
 
@@ -404,6 +405,32 @@ class TestFixedPointCommand:
         code, out, err = run("fixed-point", "--formula", formula, "--diameter", diameter,
                              "--policy", policy)
         assert (code, out, err) == (1, "", "error: diameter must be positive\n")
+
+
+class TestCaps:
+    """scan and fixed-point refuse unbounded work up front, as a domain error."""
+
+    @pytest.mark.parametrize("policy", ["floor", "final-nearest", "all"])
+    @pytest.mark.parametrize("n_from,n_to", [("1", "100000000000"), ("5", "100005")])
+    def test_scan_refuses_more_rows_than_the_cap(self, policy, n_from, n_to):
+        start = time.perf_counter()
+        code, out, err = run("scan", "--formula", "f4", "--diameter", D12, "--policy", policy,
+                             "--from", n_from, "--to", n_to)
+        assert (code, out, err) == (1, "", f"error: scan covers at most {MAX_SCAN_ROWS} rows\n")
+        assert time.perf_counter() - start < 0.2
+
+    def test_max_terms_above_the_cap_is_refused(self):
+        start = time.perf_counter()
+        code, out, err = run("fixed-point", "--formula", "f2", "--diameter", D12,
+                             "--policy", "nearest", "--max-terms", str(MAX_TERMS_CAP + 1))
+        assert (code, out, err) == (1, "", f"error: --max-terms is at most {MAX_TERMS_CAP}\n")
+        assert time.perf_counter() - start < 0.2
+
+    def test_max_terms_at_the_cap_is_accepted(self):
+        code, out, _ = run("fixed-point", "--formula", "f3", "--diameter", D12,
+                           "--policy", "floor", "--max-terms", str(MAX_TERMS_CAP))
+        assert code == 0
+        assert "fixed_value = 2827433388211" in out
 
 
 class TestReproduceGolden:

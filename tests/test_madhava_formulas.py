@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -510,3 +511,146 @@ class TestBulkSums:
             "max_terms_examined": 38,
         }
         assert len(calls) == 1
+
+
+ROUNDED_FORMULAS = [*(F2(c) for c in CorrectionId), F3(), F4()]  # the (m, c) readers
+
+
+class _NarrowRational(RationalBackend):
+    """The rational backend reading its sums at 1 digit, so that roundings escalate often."""
+
+    frac_digits = 1
+    max_digits = 8
+
+
+# rational; scaled at 0-6 digits, where undecidable roundings occur, and at 40
+EXACT_BACKENDS = [RationalBackend(), _NarrowRational(), *map(ScaledBackend, (*range(7), 40))]
+# (formula, D, n, mode): the exact sum lies on a rounding boundary of the mode and at
+# least one division is inexact at any number of digits
+TIES = [
+    (F2C3, 7, 2, FLOOR),  # 28 - 28/3 + 10/3 = 22
+    (F2C3, 205, 3, FLOOR),
+    (F2(CorrectionId.C1), 255255, 9, FLOOR),
+    (F3(), 255255, 8, FLOOR),
+    (F4(), 555, 3, FLOOR),
+    (F4(), 1365, 4, FLOOR),
+    (F2C3, 145145, 8, NEAREST),
+    (F2C3, 435435, 8, NEAREST),
+]
+
+
+def _exact(formula, diameter, n):
+    """The sum of n terms that the final policies round (F2's with its correction), in
+    Fractions straight from the definitions."""
+    if isinstance(formula, F2):
+        total = sum(Fraction((-1) ** (k + 1) * 4 * diameter, 2 * k - 1) for k in range(1, n + 1))
+        return total + (-1) ** n * 4 * diameter * correction_fraction(formula.correction, n)
+    if isinstance(formula, F3):
+        return 3 * diameter + sum(
+            Fraction((-1) ** (k + 1) * 4 * diameter, (2 * k + 1) ** 3 - (2 * k + 1))
+            for k in range(1, n + 1))
+    return sum(Fraction((-1) ** (k + 1) * 16 * diameter, (2 * k - 1) ** 5 + 4 * (2 * k - 1))
+               for k in range(1, n + 1))
+
+
+def _boundary_distance(value, mode):
+    """How far an exact value lies from the nearest rounding boundary of the mode."""
+    offset = value - (value.numerator // value.denominator)  # in [0, 1)
+    if mode is NEAREST:
+        return abs(offset - Fraction(1, 2))
+    return min(offset, 1 - offset)
+
+
+def _spy(fn, calls):
+    def spied(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return spied
+
+
+class TestIntegerState:
+    """Exact-final F2-F4 sums are two ints, (mantissa, inexact count), at the backend's digits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(ROUNDED_FORMULAS),
+        st.sampled_from([FLOOR, NEAREST]),
+        st.sampled_from(EXACT_BACKENDS),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+    )
+    @example(F2C3, FLOOR, RationalBackend(), 7, 2)
+    @example(F2C3, NEAREST, _NarrowRational(), 145145, 8)
+    def test_readers_match_the_fraction_oracle(self, formula, mode, backend, diameter, n):
+        want = _oracle(formula, diameter, n, mode, round_each=False)
+        got = []
+        try:
+            rows = formula.values(diameter, ExactFinal(mode, backend), 1, n)
+            got.extend(value for _, value in rows)
+        except RoundingUndecidableError:
+            assert isinstance(backend, ScaledBackend)  # only a fixed precision may give up
+        assert got == want[:len(got)]
+        if not isinstance(backend, ScaledBackend):
+            assert len(got) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(ROUNDED_FORMULAS),
+        st.sampled_from([FLOOR, NEAREST]),
+        st.sampled_from([*range(7), 40]),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=15),
+    )
+    def test_scaled_agrees_with_rational_wherever_it_decides(self, formula, mode, digits,
+                                                              diameter, n_from, rows):
+        rational = ExactFinal(mode, RationalBackend())
+        scaled_policy = ExactFinal(mode, ScaledBackend(digits))
+        exact = dict(formula.values(diameter, rational, n_from, n_from + rows))
+        for n, value in exact.items():
+            try:
+                scaled = circumference(formula, diameter, n, scaled_policy)
+            except RoundingUndecidableError as exc:
+                # the verdict is genuine: the exact sum lies within twice the stated bound
+                ulps = int(re.search(r"≤ (\d+) ulp", str(exc)).group(1))
+                distance = _boundary_distance(_exact(formula, diameter, n), mode)
+                assert distance < Fraction(2 * ulps, 10**digits)
+            else:
+                assert scaled.circumference == value
+
+    @pytest.mark.parametrize("formula,diameter,n,mode", TIES)
+    def test_ties_reach_the_exact_rung(self, formula, diameter, n, mode, monkeypatch):
+        assert _boundary_distance(_exact(formula, diameter, n), mode) == 0
+        for digits in (40, RationalBackend.max_digits):  # no precision decides a tie
+            with pytest.raises(RoundingUndecidableError):
+                circumference(formula, diameter, n, ExactFinal(mode, ScaledBackend(digits)))
+        exact_heads = []
+        monkeypatch.setattr(RationalBackend, "sum_ratios",
+                            staticmethod(_spy(RationalBackend.sum_ratios, exact_heads)))
+        got = circumference(formula, diameter, n, ExactFinal(mode, RationalBackend()))
+        assert got.circumference == _oracle(formula, diameter, n, mode, round_each=False)[-1]
+        assert len(exact_heads) == 2  # the odd and the even positions, once
+
+    def test_a_rung_below_the_cap_settles_a_near_tie(self, monkeypatch):
+        one_digit = ExactFinal(NEAREST, ScaledBackend(1))
+        undecided = [n for n in range(1, 41) if isinstance(
+            _outcome(lambda: circumference(F3(), 1, n, one_digit).circumference), str)]
+        assert len(undecided) > 10
+        # doubling the digits decides every one of them before the exact rung
+        monkeypatch.setattr(RationalBackend, "sum_ratios", None)
+        rows = scan_range(F3(), 1, ExactFinal(NEAREST, _NarrowRational()), 1, 40)
+        assert [r.circumference for r in rows] == _oracle(F3(), 1, 40, NEAREST, round_each=False)
+
+    @pytest.mark.parametrize("backend", [RationalBackend(), ScaledBackend(40)])
+    def test_rows_build_no_scaled_value_or_fraction(self, backend, monkeypatch):
+        # one ScaledValue head per parity, then two ints per row
+        heads = []
+        monkeypatch.setattr(ScaledBackend, "sum_ratios", _spy(ScaledBackend.sum_ratios, heads))
+        for backend_class in (ScaledBackend, RationalBackend):
+            monkeypatch.setattr(backend_class, "ratio", None)
+        monkeypatch.setattr(RationalBackend, "sum_ratios", None)
+        report = fixed_point(F3(), D, ExactFinal(NEAREST, backend))
+        found = (report.fixed_value, report.onset, report.max_terms_examined)
+        assert found == (2827433388231, 8949, 8999)
+        assert len(heads) == 2
