@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -369,6 +370,7 @@ def _add_series_flags(sub, policies: list[str]) -> None:
     _add_backend_flags(sub)
 
 
+@functools.cache  # one parser per process; callers must not mutate it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="paridhi", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

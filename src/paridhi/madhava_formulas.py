@@ -138,6 +138,10 @@ class _Formula:
         onset = vanish_onset(self, diameter, policy)
         return onset, circumference(self, diameter, onset, policy).circumference
 
+    def settle_bound(self, diameter: int, policy: Policy) -> int:
+        """The least n at which a windowed scan may accept its run."""
+        return 1
+
 
 @dataclass(frozen=True)
 class F1(_Formula):
@@ -200,6 +204,18 @@ class F2(_Formula):
 
     def analytic_fixed_point(self, diameter: int, policy: Policy) -> None:
         return None  # the rounded terms vanish only past n = 2D (floor) or 4D (nearest)
+
+    def settle_bound(self, diameter: int, policy: Policy) -> int:
+        """Under an integer policy, the first n from which every term and correction is zero."""
+        if isinstance(policy, ExactFinal):
+            return 1
+
+        def vanished(n: int) -> bool:
+            f = correction_fraction(self.correction, n)
+            corr = policy.ratio(4 * diameter * f.numerator, f.denominator)
+            return policy.ratio(4 * diameter, 2 * n - 1) == 0 == corr
+
+        return _first(vanished)
 
 
 @dataclass(frozen=True)
@@ -314,14 +330,15 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
     if diameter <= 0:
         raise DomainError("diameter must be positive")
     numerator = formula.factor * diameter
+    return _first(lambda n: policy.ratio(numerator, formula.denominator(n)) == 0)
 
-    def vanished(n: int) -> bool:
-        return policy.ratio(numerator, formula.denominator(n)) == 0
 
+def _first(vanished: Callable[[int], bool]) -> int:
+    """The smallest n >= 1 with vanished(n), for a predicate that stays true once true."""
     hi = 1
     while not vanished(hi):
         hi *= 2
-    # vanished(hi // 2) is False (or hi is 1), so the onset lies in (hi // 2, hi]
+    # vanished(hi // 2) is False (or hi is 1), so the n lies in (hi // 2, hi]
     return bisect_left(range(hi + 1), True, hi // 2 + 1, hi, key=vanished)
 
 
@@ -337,26 +354,32 @@ def fixed_point(
     Integer policies on F1/F3/F4 use the analytic vanish onset: every term
     from the onset on rounds to zero, so the partial sums are provably
     constant.  All other combinations scan for `window` consecutive equal
-    values and report the start of the run; if no such run appears within
-    max_terms, NoConvergenceError is raised.
+    values, accepting no run before the formula's settle_bound, and report
+    the start of the run; if none appears within max_terms (or the bound
+    lies past it), NoConvergenceError is raised.
     """
     if window < 1:
         raise DomainError("window must be positive")
     if max_terms < 1:
         raise DomainError("max_terms must be positive")
+    if diameter <= 0:
+        raise DomainError("diameter must be positive")
     integer = isinstance(policy, (FloorEachOp, NearestEachOp))
     if integer and (settled := formula.analytic_fixed_point(diameter, policy)):
         onset, value = settled
         return ConvergenceReport(
             formula, diameter, policy, value, onset, AnalyticVanish(), onset
         )
+    if (bound := formula.settle_bound(diameter, policy)) > max_terms:
+        raise NoConvergenceError(f"no convergence detected within {max_terms} terms; every "
+                                 f"term and correction rounds to zero only from n = {bound}")
     run_start = None
     prev = None
     for n, value in formula.values(diameter, policy, 1, max_terms):
         if value != prev:
             run_start = n
             prev = value
-        elif n - run_start >= window:
+        elif n - run_start >= window and n >= bound:
             return ConvergenceReport(
                 formula, diameter, policy, value, run_start, WindowedScan(window), n
             )

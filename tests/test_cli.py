@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from paridhi import cli
 from paridhi.cli import MAX_SCAN_ROWS, MAX_TERMS_CAP, POLICY_CHOICES, execute, render
 from paridhi.madhava_formulas import F3, fixed_point, scan_range
 from paridhi.series_engine import FLOOR_EACH_OP, build_ledger
@@ -448,3 +449,67 @@ class TestReproduceGolden:
         code, out, err = run("reproduce", "--table", table)
         assert code == 0, err
         assert out == (GOLDEN / filename).read_text(encoding="utf-8")
+
+
+class TestSharedParser:
+    """execute reuses one parser per process; no command leaves state behind in it."""
+
+    SEQUENCE = [
+        ["sqrt", "81"],
+        ["sqrt", "2", "--frac-digits", "5"],
+        ["varman", "--diameter", "100000", "--policy", "floor", "--ledger", "--format", "csv"],
+        ["circumference", "--formula", "f2", "--diameter", D12, "--terms", "5",
+         "--policy", "final-floor", "--backend", "rational", "--format", "json"],
+        ["scan", "--formula", "f4", "--diameter", D12, "--from", "210", "--to", "214",
+         "--policy", "all", "--final-mode", "floor"],
+        ["scan", "--formula", "f4", "--diameter", D12, "--from", "210", "--to", "214",
+         "--policy", "all"],
+        ["scan", "--formula", "f2", "--correction", "c1", "--diameter", D12, "--from", "35",
+         "--to", "37", "--policy", "nearest"],
+        ["fixed-point", "--formula", "f4", "--diameter", D12, "--policy", "floor"],
+        ["onset", "--formula", "f3", "--policy", "nearest", "--diameter", D12],
+        ["decode", "--system", "katapayadi", *PHRASE],
+        ["decode", "--system", "bhutasamkhya", *WORDS],
+        ["encode", "314159"],
+        ["compare", "--circumference", "2827433388233", "--diameter", D12],
+        ["reproduce", "--table", "table2"],
+        ["--help"],
+        ["scan", "--help"],
+        ["frobnicate"],
+        ["sqrt", "81", "--fast"],
+        ["scan", "--formula", "f4", "--diameter", D12, "--from", "1", "--policy", "floor"],
+        ["scan", "--formula", "f4", "--diameter", D12, "--from", "1", "--to", "2",
+         "--policy", "floor", "--final-mode", "floor"],
+        ["sqrt", "81", "--trace", "--round", "nearest"],
+        ["varman", "--diameter", "0"],
+        ["fixed-point", "--formula", "f2", "--diameter", D12, "--policy", "nearest",
+         "--max-terms", "2000"],
+        ["decode", "--system", "bhutasamkhya", "asdf"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_execute_builds_no_parser_after_the_first(self, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        run("sqrt", "81")
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for _ in range(10):
+            assert run("sqrt", "81")[0] == 0
+        assert built == []
+        cli.build_parser.__wrapped__()  # the counter does see a fresh build
+        assert len(built) > 1
+
+    def test_outputs_do_not_depend_on_command_order(self, monkeypatch):
+        forward = [execute(argv) for argv in self.SEQUENCE]
+        backward = [execute(argv) for argv in reversed(self.SEQUENCE)][::-1]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [execute(argv) for argv in self.SEQUENCE]
+        assert forward == backward == fresh
+        assert {code for code, _, _ in fresh} == {0, 1, 2}

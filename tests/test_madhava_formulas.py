@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -262,6 +263,63 @@ class TestFixedPoint:
     def test_f2_integer_policies_never_settle(self):
         with pytest.raises(NoConvergenceError):
             fixed_point(F2C3, D, NEAREST_EACH_OP, window=50, max_terms=10**4)
+
+    @pytest.mark.parametrize(
+        "policy,value,onset",
+        [(FLOOR_EACH_OP, 3145, 2000), (NEAREST_EACH_OP, 3139, 4000)],
+    )
+    def test_f2_integer_policies_settle_past_the_bound(self, policy, value, onset):
+        report = fixed_point(F2C3, 1000, policy)
+        assert (report.fixed_value, report.onset, report.max_terms_examined) == (
+            value, onset, onset + 50,
+        )
+        assert report.method == WindowedScan(50)
+
+    @pytest.mark.parametrize("correction", [CorrectionId.C1, CorrectionId.C2, CorrectionId.C3])
+    @pytest.mark.parametrize("policy,bound", [(FLOOR_EACH_OP, 2001), (NEAREST_EACH_OP, 4001)])
+    def test_f2_settle_bound(self, correction, policy, bound):
+        # the terms 4D/(2n-1) are the last to vanish: from 2n-1 > 4D (floor) or > 8D (nearest)
+        assert F2(correction).settle_bound(1000, policy) == bound
+        assert F2(correction).settle_bound(1000, FINAL_NEAREST) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from(list(CorrectionId)),
+        st.sampled_from([FLOOR, NEAREST]),
+        st.integers(min_value=1, max_value=60),
+    )
+    @example(300, CorrectionId.C3, NEAREST, 50)
+    @example(1, CorrectionId.C1, FLOOR, 1)
+    def test_f2_integer_fixed_point_matches_a_full_scan(self, diameter, correction, mode, window):
+        policy = FLOOR_EACH_OP if mode is FLOOR else NEAREST_EACH_OP
+        # the bound by exact rationals: floor rounds x to 0 iff x < 1, half-up iff x < 1/2
+        small = Fraction(1) if mode is FLOOR else Fraction(1, 2)
+        bound = next(
+            n for n in range(1, 10**4)
+            if Fraction(4 * diameter, 2 * n - 1) < small
+            and 4 * diameter * correction_fraction(correction, n) < small
+        )
+        values = [r.circumference for r in scan_range(
+            F2(correction), diameter, policy, 1, bound + window
+        )]
+        onset = len(values)
+        while onset > 1 and values[onset - 2] == values[-1]:
+            onset -= 1
+        report = fixed_point(F2(correction), diameter, policy, window)
+        assert (report.fixed_value, report.onset, report.max_terms_examined) == (
+            values[-1], onset, max(onset + window, bound),
+        )
+
+    def test_f2_bound_past_max_terms_raises_before_scanning(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(F2, "values", no_scan)
+        start = time.perf_counter()
+        with pytest.raises(NoConvergenceError, match=r"from n = 1800000000001$"):
+            fixed_point(F2C3, D, FLOOR_EACH_OP, max_terms=2 * 10**5)
+        assert time.perf_counter() - start < 0.2
 
     def test_f1_natural_termination(self):
         report = fixed_point(F1(), 10**17, FLOOR_EACH_OP, max_terms=100)
