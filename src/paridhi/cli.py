@@ -50,7 +50,7 @@ from .series_engine import (
 
 TABLE_DIAMETER = 9 * 10**11
 LEDGER_DIAMETER = 10**17
-MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # the caps on `scan` rows and `--max-terms`
+MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # the caps on `scan` rows, `--terms` and `--max-terms`
 
 
 class UsageError(Exception):
@@ -68,6 +68,11 @@ def _plain_int(text: str) -> int:
             f"plain decimal integer required (no exponents or dots): {text!r}"
         )
     return int(text)
+
+
+def _check_terms(flag: str, terms: int | None) -> None:
+    if terms is not None and terms > MAX_TERMS_CAP:
+        raise DomainError(f"{flag} is at most {MAX_TERMS_CAP}")
 
 
 def _make_policy(code: str, backend: str = "scaled", frac_digits: int = 40) -> Policy:
@@ -236,6 +241,7 @@ def _cmd_sqrt(args) -> str:
 
 def _cmd_varman(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
+    _check_terms("--terms", args.terms)
     ledger = build_ledger(args.diameter, policy, args.terms)
     summary = (
         f"terms = {len(ledger.rows)}\n"
@@ -252,6 +258,7 @@ def _cmd_varman(args) -> str:
 def _cmd_circumference(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
+    _check_terms("--terms", args.terms)
     result = circumference(formula, args.diameter, args.terms, policy)
     return _write(args.format, RESULT_HEADERS, _result_rows([result]),
                   lambda *_: f"{result.circumference}\n")
@@ -277,8 +284,7 @@ def _cmd_scan(args) -> str:
 def _cmd_fixed_point(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
-    if args.max_terms > MAX_TERMS_CAP:
-        raise DomainError(f"--max-terms is at most {MAX_TERMS_CAP}")
+    _check_terms("--max-terms", args.max_terms)
     report = fixed_point(formula, args.diameter, policy, args.window, args.max_terms)
     return render(report, args.format)
 

@@ -6,11 +6,12 @@ correction and that correction's code.  The CLI builds formulas from the
 FORMULAS code table; only vanish_onset's input check tests a formula's type.
 
 Every F2-F4 term is the exact integer factor*D divided by its exact
-denominator and rounded as the policy rounds.  A reader's first row sums
-the odd and the even positions in one bulk pass each (sum_ratios); each
-later row, like each F1 term (a ledger row), adds one term.  Under
-ExactFinal policies the terms stay exact and a single rounding is
-applied to each partial sum, which F2-F4 read as two ints (scaled_sums).
+denominator.  One reader, _Formula.sums, sums them under any arithmetic
+(series_engine's unit, split and sum_ratios) as rows (n, m, c): the partial
+sum m and the count c of inexact divisions.  Its first row sums the odd and
+the even positions in one bulk pass each; each later row, like each F1 term
+(a ledger row), adds one term.  The per-operation policies' m is the value;
+ExactFinal rounds each m once, read as two ints at the backend's digits.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Union
 
-from .exact_arith import DomainError, round_enclosure
+from .exact_arith import DomainError, ScaledValue, round_enclosure
 from .series_engine import (
+    Arithmetic,
     ExactFinal,
     FloorEachOp,
     NearestEachOp,
@@ -36,8 +38,8 @@ from .series_engine import (
 )
 
 
-Sums = Iterator[tuple[int, TermValue]]  # (n, the partial sum of n terms)
-Scaled = Iterator[tuple[int, int, int]]  # (n, m, c): see _Formula.scaled_sums
+Sums = Iterator[tuple[int, TermValue, int]]  # (n, m, c): see _Formula.sums
+Partial = Iterator[tuple[int, TermValue]]  # (n, F1's partial sum of n terms)
 Values = Iterator[tuple[int, int]]  # (n, the circumference from n terms)
 
 
@@ -77,61 +79,41 @@ class _Formula:
         """Yield (n, circumference) for n = n_from..n_to; no other row is rounded."""
         if diameter <= 0:
             raise DomainError("diameter must be positive")
-        if not isinstance(policy, ExactFinal):
-            yield from self._finished(diameter, policy, n_from, n_to)
+        if not isinstance(policy, ExactFinal):  # every quotient is already rounded
+            yield from ((n, m) for n, m, _ in self.sums(diameter, policy, n_from, n_to))
             return
         backend, mode = policy.backend, policy.final_mode
         unit = 10**backend.frac_digits
-        for n, m, c in self.scaled_sums(diameter, backend.frac_digits, n_from, n_to):
+        for n, m, c in self.sums(diameter, ScaledBackend(backend.frac_digits), n_from, n_to):
             value, digits = round_enclosure(m, c, unit, mode), backend.frac_digits
             while value is None and digits < backend.max_digits:  # undecided: double them (Ziv)
                 digits *= 2
-                [(_, m, c)] = self.scaled_sums(diameter, digits, n, n)
+                [(_, m, c)] = self.sums(diameter, ScaledBackend(digits), n, n)
                 value = round_enclosure(m, c, 10**digits, mode)
-            if value is None:  # past the cap: the backend's own sum, exact or failing loudly
-                [(_, value)] = self._finished(diameter, policy, n, n)
+            if value is None:  # past the cap: the backend's own sum, exact (c = 0) or failing loudly
+                [(_, m, c)] = self.sums(diameter, backend, n, n)
+                value = policy.round(ScaledValue(m, digits, c) if c else m)
             yield n, value
 
-    def _finished(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Values:
-        finish = self.finisher(diameter, policy)
-        sums = self.partial_sums(diameter, policy, n_from, n_to)
-        return ((n, finish(n, total)) for n, total in sums)
-
-    def scaled_sums(self, diameter: int, digits: int, n_from: int, n_to: int) -> Scaled:
-        """Yield (n, m, c) for n = n_from..n_to: m is the sum to round in units of 10**-digits,
-        each quotient truncated, and c counts the inexact divisions, so it is within c of m."""
-        scaled = ExactFinal(backend=ScaledBackend(digits))  # only for the first row
-        [(_, head)] = self.partial_sums(diameter, scaled, n_from, n_from)
-        m, c = head.mantissa, head.error_ulps
+    def sums(self, diameter: int, a: Arithmetic, n_from: int, n_to: int) -> Sums:
+        """Yield (n, m, c) for n = n_from..n_to: m is leading*D + t_1 - t_2 + ... ± t_n in
+        units of 1/a.unit, each t_k a quotient split by a, and c counts the inexact divisions,
+        so the exact sum lies within c of m.  The first row sums the odd and the even
+        positions in one bulk pass each; later rows add a term."""
+        numerator = self.factor * diameter * a.unit  # the same for every term
+        heads = (self.denominators(range(k, n_from + 1, 2)) for k in (1, 2))  # odd, even positions
+        (odd, c_odd), (even, c_even) = (a.sum_ratios(numerator, ds) for ds in heads)
+        m, c = self.leading * diameter * a.unit + odd - even, c_odd + c_even
         yield n_from, m, c
-        numerator = self.factor * diameter * 10**digits
-        quotients = map(divmod, repeat(numerator), self.denominators(range(n_from + 1, n_to + 1)))
+        quotients = map(a.split, repeat(numerator), self.denominators(range(n_from + 1, n_to + 1)))
         for n, (q, r) in enumerate(quotients, n_from + 1):
             m = m + q if n % 2 else m - q
             if r:
                 c += 1
             yield n, m, c
 
-    def partial_sums(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Sums:
-        """Yield (n, leading*D + t_1 - t_2 + ... ± t_n) for n = n_from..n_to: the first
-        row sums the odd and the even positions in one bulk pass each, later rows add a term."""
-        a = arithmetic(policy)
-        numerator = self.factor * diameter  # the same for every term
-        heads = (self.denominators(range(k, n_from + 1, 2)) for k in (1, 2))  # odd, even positions
-        odd, even = (a.sum_ratios(numerator, ds) for ds in heads)
-        total = a.seed(self.leading * diameter) + odd - even
-        yield n_from, total
-        terms = map(a.ratio, repeat(numerator), self.denominators(range(n_from + 1, n_to + 1)))
-        for n, t in enumerate(terms, n_from + 1):
-            total = total + t if n % 2 else total - t
-            yield n, total
-
     def denominators(self, ks: range) -> Iterable[int]:  # of the terms at positions ks
         return map(self.denominator, ks)
-
-    def finisher(self, diameter: int, policy: Policy) -> Callable[[int, TermValue], int]:
-        """The step that turns the partial sum of n terms into the circumference."""
-        return lambda n, total: policy.round(total)
 
     def analytic_fixed_point(self, diameter: int, policy: Policy) -> tuple[int, int] | None:
         """Under an integer policy, the n from which every rounded term is zero and the value."""
@@ -148,16 +130,20 @@ class F1(_Formula):
     """The root-12 series: its terms are the series ledger's t_k."""
 
     code = "f1"
-    values = _Formula._finished  # its ledger rows, under every policy
+
+    def values(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Values:
+        """Its ledger rows' partial sums, under every policy, each rounded by the policy."""
+        partial = self.partial_sums(diameter, policy, n_from, n_to)
+        return ((n, policy.round(total)) for n, total in partial)
 
     @staticmethod
-    def _ledger_sums(diameter: int, policy: Policy) -> Sums:
+    def _ledger_sums(diameter: int, policy: Policy) -> Partial:
         total = arithmetic(policy).seed(0)
         for row in ledger_rows(diameter, policy):
             total = total + row.t if row.k % 2 else total - row.t
             yield row.k, total
 
-    def partial_sums(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Sums:
+    def partial_sums(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Partial:
         for n, total in islice(self._ledger_sums(diameter, policy), n_to):
             if n >= n_from:
                 yield n, total
@@ -184,22 +170,12 @@ class F2(_Formula):
     def denominators(self, ks: range) -> range:
         return range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
 
-    def finisher(self, diameter: int, policy: Policy) -> Callable[[int, TermValue], int]:
-        """Attach the correction 4D*F(n) for n terms, with sign (-1)^n, then round."""
-        ratio = arithmetic(policy).ratio
-
-        def finish(n: int, total: TermValue) -> int:
+    def sums(self, diameter: int, a: Arithmetic, n_from: int, n_to: int) -> Sums:
+        """The sums of the terms, each with the correction 4D*F(n) attached with sign (-1)^n."""
+        numerator = 4 * diameter * a.unit
+        for n, m, c in super().sums(diameter, a, n_from, n_to):
             f = correction_fraction(self.correction, n)
-            corr = ratio(4 * diameter * f.numerator, f.denominator)
-            return policy.round(total + corr if n % 2 == 0 else total - corr)
-
-        return finish
-
-    def scaled_sums(self, diameter: int, digits: int, n_from: int, n_to: int) -> Scaled:
-        numerator = 4 * diameter * 10**digits  # the correction, as the finisher attaches it
-        for n, m, c in super().scaled_sums(diameter, digits, n_from, n_to):
-            f = correction_fraction(self.correction, n)
-            q, r = divmod(numerator * f.numerator, f.denominator)
+            q, r = a.split(numerator * f.numerator, f.denominator)
             yield n, m - q if n % 2 else m + q, c + 1 if r else c
 
     def analytic_fixed_point(self, diameter: int, policy: Policy) -> None:

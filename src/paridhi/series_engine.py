@@ -18,10 +18,13 @@ handled:
 
 Each integer policy and each ExactFinal backend carries its own arithmetic:
 seed(n) makes the exact integer n a value, root(radicand) is the ledger's
-seed root, ratio(n, d) is the term n/d, sum_ratios(n, ds) sums ratio(n, d)
-over a stream of denominators in one bulk pass, div(x, d) divides a value
-by an integer and round rounds a value to an integer.  arithmetic(policy)
-picks the object; policy.round(value) is the one final rounding (round_final).
+seed root, div(x, d) divides a value by an integer and round rounds a value
+to an integer.  A formula reads its sums of quotients through unit (10**s on
+ScaledBackend(s), else 1), split(n, d) -> (q, r), one quotient whose r is
+nonzero only where a truncating division was inexact, and sum_ratios(n, ds)
+-> (the sum of the q over ds in one bulk pass, how many were inexact).
+arithmetic(policy) picks the object; policy.round(value) is the one final
+rounding (round_final).
 """
 
 from __future__ import annotations
@@ -50,13 +53,18 @@ class FloorEachOp:
 
     seed = round = staticmethod(int)
     ratio = div = staticmethod(floor_div)
+    unit = 1
 
     def root(self, radicand: int) -> int:
         return isqrt(radicand)[0]
 
     @staticmethod
-    def sum_ratios(n: int, ds: Iterable[int]) -> int:
-        return sum(map(floordiv, repeat(n), ds))
+    def split(n: int, d: int) -> tuple[int, int]:
+        return floor_div(n, d), 0
+
+    @staticmethod
+    def sum_ratios(n: int, ds: Iterable[int]) -> tuple[int, int]:
+        return sum(map(floordiv, repeat(n), ds)), 0
 
     def __str__(self) -> str:
         return "floor"
@@ -68,14 +76,19 @@ class NearestEachOp:
 
     seed = round = staticmethod(int)
     ratio = div = staticmethod(nearest_div)
+    unit = 1
 
     def root(self, radicand: int) -> int:
         return isqrt_nearest(radicand)
 
     @staticmethod
-    def sum_ratios(n: int, ds: Iterable[int]) -> int:
+    def split(n: int, d: int) -> tuple[int, int]:
+        return nearest_div(n, d), 0
+
+    @staticmethod
+    def sum_ratios(n: int, ds: Iterable[int]) -> tuple[int, int]:
         # Hermite: floor(x + 1/2) = floor(2x) - floor(x) = (floor(2x) + 1) >> 1
-        return sum(map(rshift, map(add, map(floordiv, repeat(2 * n), ds), repeat(1)), repeat(1)))
+        return sum(map(rshift, map(add, map(floordiv, repeat(2 * n), ds), repeat(1)), repeat(1))), 0
 
     def __str__(self) -> str:
         return "nearest"
@@ -87,14 +100,18 @@ class RationalBackend:
 
     frac_digits, max_digits = 40, 320  # the digits a formula's sums are read at, and their cap
     seed = staticmethod(Fraction)
-    ratio = staticmethod(Fraction)
     round = staticmethod(ratio_round)
+    unit = 1
 
     def root(self, radicand: int) -> Fraction:
         return Fraction(isqrt(radicand)[0])
 
     @staticmethod
-    def sum_ratios(n: int, ds: Iterable[int]) -> Fraction:
+    def split(n: int, d: int) -> tuple[Fraction, int]:
+        return Fraction(n, d), 0
+
+    @staticmethod
+    def sum_ratios(n: int, ds: Iterable[int]) -> tuple[Fraction, int]:
         """n * p/q, with p/q the sum of 1/d built by binary splitting (Haible & Papanikolaou)."""
         ds = tuple(ds)
 
@@ -106,7 +123,7 @@ class RationalBackend:
             return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
 
         p, q = split(0, len(ds)) if ds else (0, 1)
-        return Fraction(n * p, q)
+        return Fraction(n * p, q), 0
 
     @staticmethod
     def div(x: Fraction, d: int) -> Fraction:
@@ -132,18 +149,18 @@ class ScaledBackend:
     def root(self, radicand: int) -> ScaledValue:
         return sqrt_scaled(radicand, self.frac_digits)
 
-    def ratio(self, n: int, d: int) -> ScaledValue:
-        return ScaledValue.from_ratio(n, d, self.frac_digits)
-
     max_digits = property(lambda self: self.frac_digits)  # a fixed precision: never doubled
+    unit = property(lambda self: 10**self.frac_digits)
+    split = staticmethod(divmod)
 
-    def sum_ratios(self, n: int, ds: Iterable[int]) -> ScaledValue:
-        """The sum of ratio(n, d): the truncated mantissas, one ulp per inexact division."""
+    @staticmethod
+    def sum_ratios(n: int, ds: Iterable[int]) -> tuple[int, int]:
+        """The truncated quotients' sum, and how many of the divisions were inexact."""
         mantissa = inexact = 0
-        for q, r in map(divmod, repeat(n * 10**self.frac_digits), ds):
+        for q, r in map(divmod, repeat(n), ds):
             mantissa += q
             inexact += r != 0
-        return ScaledValue(mantissa, self.frac_digits, inexact)
+        return mantissa, inexact
 
     @staticmethod
     def div(x: ScaledValue, d: int) -> ScaledValue:

@@ -409,7 +409,8 @@ class TestFixedPointCommand:
 
 
 class TestCaps:
-    """scan and fixed-point refuse unbounded work up front, as a domain error."""
+    """scan, fixed-point, circumference and varman refuse unbounded work up front, as a domain
+    error."""
 
     @pytest.mark.parametrize("policy", ["floor", "final-nearest", "all"])
     @pytest.mark.parametrize("n_from,n_to", [("1", "100000000000"), ("5", "100005")])
@@ -432,6 +433,25 @@ class TestCaps:
                            "--policy", "floor", "--max-terms", str(MAX_TERMS_CAP))
         assert code == 0
         assert "fixed_value = 2827433388211" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["circumference", "--formula", "f2", "--policy", "floor"],
+        ["circumference", "--formula", "f4", "--policy", "final-nearest", "--backend", "rational"],
+        ["varman", "--policy", "floor"],
+        ["varman", "--policy", "final-nearest"],
+    ])
+    def test_terms_above_the_cap_is_refused(self, argv):
+        start = time.perf_counter()
+        code, out, err = run(*argv, "--diameter", D12, "--terms", str(MAX_TERMS_CAP + 1))
+        assert (code, out, err) == (1, "", f"error: --terms is at most {MAX_TERMS_CAP}\n")
+        assert time.perf_counter() - start < 0.2
+
+    def test_terms_at_the_cap_is_accepted(self):
+        code, out, _ = run("circumference", "--formula", "f2", "--correction", "c3",
+                           "--diameter", D12, "--terms", str(MAX_TERMS_CAP), "--policy", "floor")
+        assert (code, out) == (0, "2827433387851\n")
+        code, out, _ = run("varman", "--diameter", D12, "--terms", str(MAX_TERMS_CAP))
+        assert (code, out) == run("varman", "--diameter", D12)[:2]
 
 
 class TestReproduceGolden:

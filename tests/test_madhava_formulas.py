@@ -13,6 +13,7 @@ from paridhi.exact_arith import (
     DomainError,
     RoundingMode,
     RoundingUndecidableError,
+    ScaledValue,
     nearest_div,
     ratio_round,
 )
@@ -475,18 +476,41 @@ def _outcome(call):
 
 
 def _row_by_row(formula, diameter, policy, n):
-    """The circumference of n terms, each formed by the policy's own ratio and
-    added one at a time, with only the sum of all n rounded."""
+    """The circumference of n terms, each formed on its own in the policy's arithmetic
+    (a ScaledValue, a Fraction or the policy's rounded ratio) and added one at a time,
+    F2's correction attached, with only the sum of all n rounded."""
     a = arithmetic(policy)
+    if isinstance(a, ScaledBackend):
+        def ratio(p, q):
+            return ScaledValue.from_ratio(p, q, a.frac_digits)
+    else:
+        ratio = Fraction if isinstance(a, RationalBackend) else policy.ratio
     if isinstance(formula, F1):
         terms = [row.t for row in islice(ledger_rows(diameter, policy), n)]
     else:
         d = (lambda k: 2 * k - 1) if isinstance(formula, F2) else formula.denominator
-        terms = [a.ratio(formula.factor * diameter, d(k)) for k in range(1, n + 1)]
+        terms = [ratio(formula.factor * diameter, d(k)) for k in range(1, n + 1)]
     total = a.seed(formula.leading * diameter)
     for k, t in enumerate(terms, 1):
         total = total + t if k % 2 else total - t
-    return formula.finisher(diameter, policy)(n, total)
+    if isinstance(formula, F2):
+        f = correction_fraction(formula.correction, n)
+        corr = ratio(4 * diameter * f.numerator, f.denominator)
+        total = total + corr if n % 2 == 0 else total - corr
+    return policy.round(total)
+
+
+def _row_outcomes(formula, diameter, policy, n_from, n_to):
+    """The circumference of each n in n_from..n_to, or the message of the
+    RoundingUndecidableError its row raises; reading resumes after such a row."""
+    outcomes = []
+    while len(outcomes) <= n_to - n_from:
+        try:
+            outcomes.extend(value for _, value in
+                            formula.values(diameter, policy, n_from + len(outcomes), n_to))
+        except RoundingUndecidableError as exc:
+            outcomes.append(f"undecidable: {exc}")
+    return outcomes
 
 
 class TestBulkSums:
@@ -529,8 +553,29 @@ class TestBulkSums:
     )
     def test_each_sum_is_the_sum_of_its_ratios(self, a, numerator, ds):
         # for nearest this checks Hermite's identity against nearest_div term by term
-        want = sum(map(a.ratio, repeat(numerator), ds), a.seed(0))
-        assert a.sum_ratios(numerator, iter(ds)) == want
+        splits = [a.split(numerator * a.unit, d) for d in ds]
+        want = sum(q for q, _ in splits), sum(r != 0 for _, r in splits)
+        assert a.sum_ratios(numerator * a.unit, iter(ds)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(EVERY_FORMULA),
+        st.sampled_from(EVERY_POLICY),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=300),
+    )
+    @example(F2C3, ExactFinal(NEAREST, ScaledBackend(0)), D, 25, 40)
+    def test_a_scan_from_any_row_is_the_tail_of_a_scan_from_one(self, formula, policy,
+                                                                  diameter, n, m):
+        n_from, n_to = min(n, m), max(n, m)
+        tail = _row_outcomes(formula, diameter, policy, 1, n_to)[n_from - 1:]
+        assert _row_outcomes(formula, diameter, policy, n_from, n_to) == tail
+        # scan_range stops at its first undecidable row
+        first_error = next((v for v in tail if isinstance(v, str)), None)
+        scan = _outcome(lambda: [r.circumference
+                                 for r in scan_range(formula, diameter, policy, n_from, n_to)])
+        assert scan == (first_error or tail)
 
     @pytest.mark.parametrize(
         "policy",
@@ -702,11 +747,12 @@ class TestIntegerState:
 
     @pytest.mark.parametrize("backend", [RationalBackend(), ScaledBackend(40)])
     def test_rows_build_no_scaled_value_or_fraction(self, backend, monkeypatch):
-        # one ScaledValue head per parity, then two ints per row
+        # one head per parity, then two ints per row
         heads = []
-        monkeypatch.setattr(ScaledBackend, "sum_ratios", _spy(ScaledBackend.sum_ratios, heads))
-        for backend_class in (ScaledBackend, RationalBackend):
-            monkeypatch.setattr(backend_class, "ratio", None)
+        monkeypatch.setattr(ScaledBackend, "sum_ratios",
+                            staticmethod(_spy(ScaledBackend.sum_ratios, heads)))
+        monkeypatch.setattr(ScaledValue, "__post_init__", None)  # no ScaledValue can be built
+        monkeypatch.setattr(RationalBackend, "split", None)
         monkeypatch.setattr(RationalBackend, "sum_ratios", None)
         report = fixed_point(F3(), D, ExactFinal(NEAREST, backend))
         found = (report.fixed_value, report.onset, report.max_terms_examined)
