@@ -66,10 +66,9 @@ from .reference_pi import (
 from .series_engine import (
     FLOOR_EACH_OP,
     NEAREST_EACH_OP,
+    EachOp,
     ExactFinal,
-    FloorEachOp,
     LedgerRow,
-    NearestEachOp,
     Policy,
     RationalBackend,
     ScaledBackend,

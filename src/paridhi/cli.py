@@ -50,7 +50,7 @@ from .series_engine import (
 
 TABLE_DIAMETER = 9 * 10**11
 LEDGER_DIAMETER = 10**17
-MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # the caps on `scan` rows, `--terms` and `--max-terms`
+MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # caps on `scan` rows; `--terms`, `--max-terms`, `--to`
 
 
 class UsageError(Exception):
@@ -268,6 +268,7 @@ def _cmd_scan(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     if args.n_to - args.n_from >= MAX_SCAN_ROWS:
         raise DomainError(f"scan covers at most {MAX_SCAN_ROWS} rows")
+    _check_terms("--to", args.n_to)  # its first row sums the whole head
     if args.policy == "all":
         final_code = f"final-{args.final_mode or 'nearest'}"
         return _scan_all(

@@ -11,6 +11,9 @@ Everything in this package is built on three exact representations:
 No floating point is used anywhere; every rounding is an explicit integer
 operation.  The two rounding modes are the floor function and
 round-half-up, defined as floor(x + 1/2) so that ties always round up.
+RoundingMode is the one place a mode becomes arithmetic: mode.div(n, d)
+rounds one quotient, and mode.sum_div(n, ds) sums the rounded quotients of n
+over a stream of divisors in one C-level map pass.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, rshift
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -50,15 +56,27 @@ def nearest_div(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
+def _floor_sum(n: int, ds: Iterable[int]) -> int:
+    return sum(map(floordiv, repeat(n), ds))
+
+
+def _nearest_sum(n: int, ds: Iterable[int]) -> int:
+    # Hermite: floor(x + 1/2) = floor(2x) - floor(x) = (floor(2x) + 1) >> 1
+    return sum(map(rshift, map(add, map(floordiv, repeat(2 * n), ds), repeat(1)), repeat(1)))
+
+
 class RoundingMode(enum.Enum):
-    """A rounding rule; mode.div(n, d) is n/d rounded to an integer under it, for d > 0."""
+    """A rounding rule: mode.div(n, d) is n/d rounded to an integer under it, for d > 0,
+    and mode.sum_div(n, ds) is the sum of mode.div(n, d) over the positive divisors ds."""
 
     FLOOR = "floor"
     NEAREST_HALF_UP = "nearest"
 
     def __init__(self, value: str) -> None:
-        # the only place a mode is turned into a division
-        self.div = floor_div if value == "floor" else nearest_div
+        # the only place a mode is turned into a division, or a bulk sum of them
+        floor = value == "floor"
+        self.div = floor_div if floor else nearest_div
+        self.sum_div = _floor_sum if floor else _nearest_sum
 
 
 def ratio_round(r: Fraction, mode: RoundingMode) -> int:

@@ -27,9 +27,8 @@ from typing import Callable, Iterable, Iterator, Union
 from .exact_arith import DomainError, ScaledValue, round_enclosure
 from .series_engine import (
     Arithmetic,
+    EachOp,
     ExactFinal,
-    FloorEachOp,
-    NearestEachOp,
     Policy,
     ScaledBackend,
     TermValue,
@@ -115,9 +114,12 @@ class _Formula:
     def denominators(self, ks: range) -> Iterable[int]:  # of the terms at positions ks
         return map(self.denominator, ks)
 
-    def analytic_fixed_point(self, diameter: int, policy: Policy) -> tuple[int, int] | None:
-        """Under an integer policy, the n from which every rounded term is zero and the value."""
-        onset = vanish_onset(self, diameter, policy)
+    def analytic_fixed_point(
+        self, diameter: int, policy: Policy, max_terms: int
+    ) -> tuple[int, int] | None:
+        """Under an integer policy, the n from which every rounded term is zero and the value;
+        if that n lies past max_terms, NoConvergenceError before any term is summed."""
+        onset = _within(max_terms, vanish_onset(self, diameter, policy), "term")
         return onset, circumference(self, diameter, onset, policy).circumference
 
     def settle_bound(self, diameter: int, policy: Policy) -> int:
@@ -150,10 +152,12 @@ class F1(_Formula):
         # past the ledger's last row (integer policies) every term is zero
         yield from zip(range(max(n + 1, n_from), n_to + 1), repeat(total))
 
-    def analytic_fixed_point(self, diameter: int, policy: Policy) -> tuple[int, int]:
+    def analytic_fixed_point(
+        self, diameter: int, policy: Policy, max_terms: int
+    ) -> tuple[int, int]:
         # the ledger ends at its first row with x = 0, and its sum is the fixed value
         [(onset, total)] = deque(self._ledger_sums(diameter, policy), maxlen=1)
-        return onset, policy.round(total)
+        return _within(max_terms, onset, "term"), policy.round(total)
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class F2(_Formula):
             q, r = a.split(numerator * f.numerator, f.denominator)
             yield n, m - q if n % 2 else m + q, c + 1 if r else c
 
-    def analytic_fixed_point(self, diameter: int, policy: Policy) -> None:
+    def analytic_fixed_point(self, diameter: int, policy: Policy, max_terms: int) -> None:
         return None  # the rounded terms vanish only past n = 2D (floor) or 4D (nearest)
 
     def settle_bound(self, diameter: int, policy: Policy) -> int:
@@ -188,8 +192,8 @@ class F2(_Formula):
 
         def vanished(n: int) -> bool:
             f = correction_fraction(self.correction, n)
-            corr = policy.ratio(4 * diameter * f.numerator, f.denominator)
-            return policy.ratio(4 * diameter, 2 * n - 1) == 0 == corr
+            corr = policy.div(4 * diameter * f.numerator, f.denominator)
+            return policy.div(4 * diameter, 2 * n - 1) == 0 == corr
 
         return _first(vanished)
 
@@ -301,12 +305,12 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
         raise UnsupportedFormulaError(
             f"vanish onset is only defined for f3/f4, not {formula.code}"
         )
-    if not isinstance(policy, (FloorEachOp, NearestEachOp)):
+    if not isinstance(policy, EachOp):
         raise UnsupportedFormulaError("vanish onset needs an integer rounding policy")
     if diameter <= 0:
         raise DomainError("diameter must be positive")
     numerator = formula.factor * diameter
-    return _first(lambda n: policy.ratio(numerator, formula.denominator(n)) == 0)
+    return _first(lambda n: policy.div(numerator, formula.denominator(n)) == 0)
 
 
 def _first(vanished: Callable[[int], bool]) -> int:
@@ -316,6 +320,14 @@ def _first(vanished: Callable[[int], bool]) -> int:
         hi *= 2
     # vanished(hi // 2) is False (or hi is 1), so the n lies in (hi // 2, hi]
     return bisect_left(range(hi + 1), True, hi // 2 + 1, hi, key=vanished)
+
+
+def _within(max_terms: int, bound: int, what: str) -> int:
+    """bound, the n from which every rounded `what` is zero, if it is at most max_terms."""
+    if bound > max_terms:
+        raise NoConvergenceError(f"no convergence detected within {max_terms} terms; every "
+                                 f"{what} rounds to zero only from n = {bound}")
+    return bound
 
 
 def fixed_point(
@@ -331,8 +343,8 @@ def fixed_point(
     from the onset on rounds to zero, so the partial sums are provably
     constant.  All other combinations scan for `window` consecutive equal
     values, accepting no run before the formula's settle_bound, and report
-    the start of the run; if none appears within max_terms (or the bound
-    lies past it), NoConvergenceError is raised.
+    the start of the run.  If no run appears within max_terms, or the onset
+    or the bound lies past it, NoConvergenceError is raised.
     """
     if window < 1:
         raise DomainError("window must be positive")
@@ -340,15 +352,13 @@ def fixed_point(
         raise DomainError("max_terms must be positive")
     if diameter <= 0:
         raise DomainError("diameter must be positive")
-    integer = isinstance(policy, (FloorEachOp, NearestEachOp))
-    if integer and (settled := formula.analytic_fixed_point(diameter, policy)):
+    integer = isinstance(policy, EachOp)
+    if integer and (settled := formula.analytic_fixed_point(diameter, policy, max_terms)):
         onset, value = settled
         return ConvergenceReport(
             formula, diameter, policy, value, onset, AnalyticVanish(), onset
         )
-    if (bound := formula.settle_bound(diameter, policy)) > max_terms:
-        raise NoConvergenceError(f"no convergence detected within {max_terms} terms; every "
-                                 f"term and correction rounds to zero only from n = {bound}")
+    bound = _within(max_terms, formula.settle_bound(diameter, policy), "term and correction")
     run_start = None
     prev = None
     for n, value in formula.values(diameter, policy, 1, max_terms):

@@ -8,15 +8,15 @@ difference, C = O - E.
 Three policies control how the inexact square root and divisions are
 handled:
 
-* FloorEachOp      -- every operation keeps only the integer part,
-* NearestEachOp    -- every operation rounds half-up to the nearest integer,
-* ExactFinal       -- values stay exact until a single final rounding;
-                      backed either by exact rationals (seeded with the
-                      integer floor root) or by ScaledValue fixed-point
-                      (seeded with the root truncated to frac_digits
-                      decimal places).
+* EachOp(mode)  -- every operation rounds under mode: FLOOR_EACH_OP keeps
+                   the integer part, NEAREST_EACH_OP rounds half-up,
+* ExactFinal    -- values stay exact until a single final rounding;
+                   backed either by exact rationals (seeded with the
+                   integer floor root) or by ScaledValue fixed-point
+                   (seeded with the root truncated to frac_digits
+                   decimal places).
 
-Each integer policy and each ExactFinal backend carries its own arithmetic:
+Each EachOp and each ExactFinal backend carries its own arithmetic:
 seed(n) makes the exact integer n a value, root(radicand) is the ledger's
 seed root, div(x, d) divides a value by an integer and round rounds a value
 to an integer.  A formula reads its sums of quotients through unit (10**s on
@@ -33,65 +33,36 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, repeat
 from math import gcd
-from operator import add, floordiv, rshift
 from typing import Iterable, Iterator, Union
 
-from .aryabhata_sqrt import isqrt, isqrt_nearest, sqrt_scaled
-from .exact_arith import (
-    DomainError,
-    RoundingMode,
-    ScaledValue,
-    floor_div,
-    nearest_div,
-    ratio_round,
-)
+from .aryabhata_sqrt import isqrt, sqrt_scaled
+from .exact_arith import DomainError, RoundingMode, ScaledValue, ratio_round
 
 
 @dataclass(frozen=True)
-class FloorEachOp:
-    """Integer values; every division keeps only the integer part."""
+class EachOp:
+    """Integer values; the root and every division are rounded under mode."""
 
+    mode: RoundingMode
     seed = round = staticmethod(int)
-    ratio = div = staticmethod(floor_div)
     unit = 1
 
-    def root(self, radicand: int) -> int:
-        return isqrt(radicand)[0]
-
-    @staticmethod
-    def split(n: int, d: int) -> tuple[int, int]:
-        return floor_div(n, d), 0
-
-    @staticmethod
-    def sum_ratios(n: int, ds: Iterable[int]) -> tuple[int, int]:
-        return sum(map(floordiv, repeat(n), ds)), 0
-
-    def __str__(self) -> str:
-        return "floor"
-
-
-@dataclass(frozen=True)
-class NearestEachOp:
-    """Integer values; every division rounds half-up."""
-
-    seed = round = staticmethod(int)
-    ratio = div = staticmethod(nearest_div)
-    unit = 1
+    def div(self, n: int, d: int) -> int:
+        return self.mode.div(n, d)
 
     def root(self, radicand: int) -> int:
-        return isqrt_nearest(radicand)
+        # rem/(2 root + 1) rounds to the carry: under floor 0 (rem <= 2 root), half-up rem > root
+        root, rem = isqrt(radicand)
+        return root + self.mode.div(rem, 2 * root + 1)
 
-    @staticmethod
-    def split(n: int, d: int) -> tuple[int, int]:
-        return nearest_div(n, d), 0
+    def split(self, n: int, d: int) -> tuple[int, int]:
+        return self.mode.div(n, d), 0
 
-    @staticmethod
-    def sum_ratios(n: int, ds: Iterable[int]) -> tuple[int, int]:
-        # Hermite: floor(x + 1/2) = floor(2x) - floor(x) = (floor(2x) + 1) >> 1
-        return sum(map(rshift, map(add, map(floordiv, repeat(2 * n), ds), repeat(1)), repeat(1))), 0
+    def sum_ratios(self, n: int, ds: Iterable[int]) -> tuple[int, int]:
+        return self.mode.sum_div(n, ds), 0
 
     def __str__(self) -> str:
-        return "nearest"
+        return self.mode.value
 
 
 @dataclass(frozen=True)
@@ -176,7 +147,7 @@ class ScaledBackend:
 
 
 Backend = Union[RationalBackend, ScaledBackend]
-Arithmetic = Union[FloorEachOp, NearestEachOp, RationalBackend, ScaledBackend]
+Arithmetic = Union[EachOp, RationalBackend, ScaledBackend]
 
 
 @dataclass(frozen=True)
@@ -191,10 +162,10 @@ class ExactFinal:
         return f"final-{self.final_mode.value}"
 
 
-Policy = Union[FloorEachOp, NearestEachOp, ExactFinal]
+Policy = Union[EachOp, ExactFinal]
 
-FLOOR_EACH_OP = FloorEachOp()
-NEAREST_EACH_OP = NearestEachOp()
+FLOOR_EACH_OP = EachOp(RoundingMode.FLOOR)
+NEAREST_EACH_OP = EachOp(RoundingMode.NEAREST_HALF_UP)
 
 TermValue = Union[int, Fraction, ScaledValue]
 

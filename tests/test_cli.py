@@ -421,6 +421,22 @@ class TestCaps:
         assert (code, out, err) == (1, "", f"error: scan covers at most {MAX_SCAN_ROWS} rows\n")
         assert time.perf_counter() - start < 0.2
 
+    def test_scan_refuses_a_to_past_the_terms_cap(self):
+        # one row, but its head would sum 10**12 terms
+        start = time.perf_counter()
+        code, out, err = run("scan", "--formula", "f2", "--diameter", D12, "--policy", "floor",
+                             "--from", "1000000000000", "--to", "1000000000000")
+        assert (code, out, err) == (1, "", f"error: --to is at most {MAX_TERMS_CAP}\n")
+        assert time.perf_counter() - start < 0.2
+
+    def test_fixed_point_refuses_an_onset_past_max_terms(self):
+        start = time.perf_counter()
+        code, out, err = run("fixed-point", "--formula", "f3", "--diameter", "1" + "0" * 40,
+                             "--policy", "floor")
+        assert (code, out, err) == (1, "", "error: no convergence detected within 10000 terms; "
+                                           "every term rounds to zero only from n = 17099759466767\n")
+        assert time.perf_counter() - start < 0.2
+
     def test_max_terms_above_the_cap_is_refused(self):
         start = time.perf_counter()
         code, out, err = run("fixed-point", "--formula", "f2", "--diameter", D12,

@@ -202,9 +202,8 @@ class TestVanishOnset:
             b = 2 * n - 1
             return Fraction(16 * D, b**5 + 4 * b)
 
-        mode = FLOOR if isinstance(policy, type(FLOOR_EACH_OP)) else NEAREST
-        assert ratio_round(term(onset), mode) == 0
-        assert ratio_round(term(onset - 1), mode) >= 1
+        assert ratio_round(term(onset), policy.mode) == 0
+        assert ratio_round(term(onset - 1), policy.mode) >= 1
 
     @given(
         st.integers(min_value=1, max_value=10**6),
@@ -320,6 +319,31 @@ class TestFixedPoint:
         start = time.perf_counter()
         with pytest.raises(NoConvergenceError, match=r"from n = 1800000000001$"):
             fixed_point(F2C3, D, FLOOR_EACH_OP, max_terms=2 * 10**5)
+        assert time.perf_counter() - start < 0.2
+
+    @pytest.mark.parametrize(
+        "formula,diameter,policy,onset",
+        [
+            (F1(), 10**17, FLOOR_EACH_OP, 38),
+            (F1(), 10**17, NEAREST_EACH_OP, 39),
+            (F3(), D, NEAREST_EACH_OP, 9655),
+            (F4(), D, FLOOR_EACH_OP, 215),
+        ],
+    )
+    def test_analytic_onset_past_max_terms_raises(self, formula, diameter, policy, onset):
+        message = rf"within {onset - 1} terms; every term rounds to zero only from n = {onset}$"
+        with pytest.raises(NoConvergenceError, match=message):
+            fixed_point(formula, diameter, policy, max_terms=onset - 1)
+        assert fixed_point(formula, diameter, policy, max_terms=onset).onset == onset
+
+    def test_analytic_onset_past_max_terms_raises_before_summing(self, monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("summed")
+
+        monkeypatch.setattr(madhava_formulas, "circumference", no_sum)
+        start = time.perf_counter()
+        with pytest.raises(NoConvergenceError, match=r"from n = 17099759466767$"):
+            fixed_point(F3(), 10**40, FLOOR_EACH_OP)
         assert time.perf_counter() - start < 0.2
 
     def test_f1_natural_termination(self):
@@ -484,7 +508,7 @@ def _row_by_row(formula, diameter, policy, n):
         def ratio(p, q):
             return ScaledValue.from_ratio(p, q, a.frac_digits)
     else:
-        ratio = Fraction if isinstance(a, RationalBackend) else policy.ratio
+        ratio = Fraction if isinstance(a, RationalBackend) else policy.div
     if isinstance(formula, F1):
         terms = [row.t for row in islice(ledger_rows(diameter, policy), n)]
     else:

@@ -1,14 +1,16 @@
+import math
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paridhi.exact_arith import DomainError, RoundingMode
 from paridhi.series_engine import (
     FLOOR_EACH_OP,
     NEAREST_EACH_OP,
+    EachOp,
     ExactFinal,
     RationalBackend,
     ScaledBackend,
@@ -109,6 +111,28 @@ class TestExactFinal:
             assert row.x == prev.x / 3
         for row in ledger.rows:
             assert row.t == row.x / (2 * row.k - 1)
+
+
+class TestEachOp:
+    def test_the_two_policies_are_one_class(self):
+        assert (FLOOR_EACH_OP, NEAREST_EACH_OP) == (EachOp(FLOOR), EachOp(NEAREST))
+        assert (str(FLOOR_EACH_OP), str(NEAREST_EACH_OP)) == ("floor", "nearest")
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.integers(min_value=0, max_value=10**200),
+        st.integers(min_value=1, max_value=10**100).flatmap(
+            lambda k: st.sampled_from([k * k, k * k - 1, k * k + 1, k * k + k, k * k + k + 1])
+        ),
+    ))
+    @example(0)
+    @example(2)  # k*k + k at k = 1: the nearest root rounds down
+    @example(3)  # k*k + k + 1 at k = 1: the nearest root rounds up
+    @example(5 * 10**4299)  # 4300 digits: 4 * radicand would pass the str limit of isqrt
+    def test_root_matches_math_isqrt(self, radicand):
+        r0 = math.isqrt(radicand)
+        assert EachOp(FLOOR).root(radicand) == r0
+        assert EachOp(NEAREST).root(radicand) == r0 + (radicand - r0 * r0 > r0)
 
 
 def test_diameter_must_be_positive():
