@@ -13,7 +13,8 @@ operation.  The two rounding modes are the floor function and
 round-half-up, defined as floor(x + 1/2) so that ties always round up.
 RoundingMode is the one place a mode becomes arithmetic: mode.div(n, d)
 rounds one quotient, and mode.sum_div(n, ds) sums the rounded quotients of n
-over a stream of divisors in one C-level map pass.
+over a stream of divisors in one C-level map pass.  Under half-up that pass is
+(2n + d) // (2d) over two ranges when ds is a range, else Hermite's identity.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def _floor_sum(n: int, ds: Iterable[int]) -> int:
 
 
 def _nearest_sum(n: int, ds: Iterable[int]) -> int:
+    if isinstance(ds, range):  # (2n + d) // (2d) over two progressions: one map layer
+        return sum(map(floordiv, range(2 * n + ds.start, 2 * n + ds.stop, ds.step),
+                       range(2 * ds.start, 2 * ds.stop, 2 * ds.step)))
     # Hermite: floor(x + 1/2) = floor(2x) - floor(x) = (floor(2x) + 1) >> 1
     return sum(map(rshift, map(add, map(floordiv, repeat(2 * n), ds), repeat(1)), repeat(1)))
 

@@ -5,23 +5,25 @@ its terms, the exact multiple of D they are added to and, for F2, its
 correction and that correction's code.  The CLI builds formulas from the
 FORMULAS code table; only vanish_onset's input check tests a formula's type.
 
-Every F2-F4 term is the exact integer factor*D divided by its exact
-denominator.  One reader, _Formula.sums, sums them under any arithmetic
-(series_engine's unit, split and sum_ratios) as rows (n, m, c): the partial
-sum m and the count c of inexact divisions.  Its first row sums the odd and
-the even positions in one bulk pass each; each later row, like each F1 term
-(a ledger row), adds one term.  The per-operation policies' m is the value;
-ExactFinal rounds each m once, read as two ints at the backend's digits.
+Every F2-F4 term is the exact integer factor*D divided by its denominator,
+built for a range of positions from ranges by C-level operator maps (F2's
+are a range); denominator(k) is the one-position case.  One reader,
+_Formula.sums, sums them under any arithmetic (series_engine's unit, split
+and sum_ratios) as rows (n, m, c): the partial sum m and the count c of
+inexact divisions.  Its first row sums the odd and the even positions in one
+bulk pass each; each later row, like each F1 term (a ledger row), adds one
+term.  The per-operation policies' m is the value; ExactFinal rounds each m
+once, read as two ints at the backend's digits.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Union
 
 from .exact_arith import DomainError, ScaledValue, round_enclosure
@@ -111,8 +113,9 @@ class _Formula:
                 c += 1
             yield n, m, c
 
-    def denominators(self, ks: range) -> Iterable[int]:  # of the terms at positions ks
-        return map(self.denominator, ks)
+    def denominator(self, k: int) -> int:  # of the term at position k
+        [d] = self.denominators(range(k, k + 1))
+        return d
 
     def analytic_fixed_point(
         self, diameter: int, policy: Policy, max_terms: int
@@ -206,9 +209,10 @@ class F3(_Formula):
     leading = 3  # 3D is an exact integer product, never rounded
 
     @staticmethod
-    def denominator(k: int) -> int:
-        b = 2 * k + 1
-        return b**3 - b
+    def denominators(ks: range) -> Iterable[int]:  # b^3 - b = (b - 1) b (b + 1), b = 2k + 1
+        lo, hi, step = 2 * ks.start, 2 * ks.stop, 2 * ks.step
+        return map(mul, map(mul, range(lo, hi, step), range(lo + 1, hi + 1, step)),
+                   range(lo + 2, hi + 2, step))
 
 
 @dataclass(frozen=True)
@@ -219,9 +223,9 @@ class F4(_Formula):
     factor = 16
 
     @staticmethod
-    def denominator(k: int) -> int:
-        b = 2 * k - 1
-        return b**5 + 4 * b
+    def denominators(ks: range) -> Iterable[int]:  # b^5 + 4b = b (b^4 + 4), b = 2k - 1
+        bs = range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
+        return map(mul, bs, map(add, map(pow, bs, repeat(4)), repeat(4)))
 
 
 FormulaId = Union[F1, F2, F3, F4]
@@ -315,11 +319,13 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
 
 def _first(vanished: Callable[[int], bool]) -> int:
     """The smallest n >= 1 with vanished(n), for a predicate that stays true once true."""
-    hi = 1
+    lo, hi = 0, 1  # the n lies in (lo, hi] once vanished(hi); n = 0 counts as not vanished
     while not vanished(hi):
-        hi *= 2
-    # vanished(hi // 2) is False (or hi is 1), so the n lies in (hi // 2, hi]
-    return bisect_left(range(hi + 1), True, hi // 2 + 1, hi, key=vanished)
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:  # plain ints: a bisect over range(hi) overflows past sys.maxsize
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if vanished(mid) else (mid, hi)
+    return hi
 
 
 def _within(max_terms: int, bound: int, what: str) -> int:

@@ -22,9 +22,9 @@ seed root, div(x, d) divides a value by an integer and round rounds a value
 to an integer.  A formula reads its sums of quotients through unit (10**s on
 ScaledBackend(s), else 1), split(n, d) -> (q, r), one quotient whose r is
 nonzero only where a truncating division was inexact, and sum_ratios(n, ds)
--> (the sum of the q over ds in one bulk pass, how many were inexact).
-arithmetic(policy) picks the object; policy.round(value) is the one final
-rounding (round_final).
+-> (the sum of the q over ds in one bulk pass, how many were inexact; under
+EachOp, mode.sum_div, one floordiv map for a range such as F2's divisors).
+arithmetic(policy) picks the object; policy.round(value) is round_final.
 """
 
 from __future__ import annotations

@@ -437,6 +437,20 @@ class TestCaps:
                                            "every term rounds to zero only from n = 17099759466767\n")
         assert time.perf_counter() - start < 0.2
 
+    @pytest.mark.parametrize(
+        "formula,diameter,what,onset",
+        [
+            ("f3", "1" + "0" * 60, "term", "79370052598409973738"),
+            ("f2", "1" + "0" * 19, "term and correction", "20000000000000000001"),
+        ],
+    )
+    def test_fixed_point_refuses_an_onset_past_sys_maxsize(self, formula, diameter, what, onset):
+        # the onset is found by bisection on plain ints, not over a C-sized range
+        code, out, err = run("fixed-point", "--formula", formula, "--diameter", diameter,
+                             "--policy", "floor")
+        assert (code, out, err) == (1, "", "error: no convergence detected within 10000 terms; "
+                                           f"every {what} rounds to zero only from n = {onset}\n")
+
     def test_max_terms_above_the_cap_is_refused(self):
         start = time.perf_counter()
         code, out, err = run("fixed-point", "--formula", "f2", "--diameter", D12,

@@ -78,6 +78,24 @@ class TestNearestDiv:
         assert nearest_div(n, d) == math.floor(Fraction(n, d) + Fraction(1, 2))
 
 
+class TestSumDiv:
+    """mode.sum_div sums mode.div over its divisors; a range takes its own C-level pass."""
+
+    @given(
+        st.sampled_from([FLOOR, NEAREST]),
+        ints,
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=-3, max_value=60),
+        st.integers(min_value=0, max_value=7),
+    )
+    def test_a_range_sums_like_its_divisors(self, mode, n, start, step, count, ragged):
+        r = range(start, start + count * step + ragged % step, step)  # empty when count <= 0
+        want = sum(mode.div(n, d) for d in r)
+        assert mode.sum_div(n, r) == want
+        assert mode.sum_div(n, iter(r)) == want
+
+
 class TestRatioCombine:
     def test_normalized_on_construction(self):
         assert Fraction(4, 6) == Fraction(2, 3)

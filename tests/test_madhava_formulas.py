@@ -171,6 +171,15 @@ class TestScanRange:
             scan_range(F3(), D, FLOOR_EACH_OP, 5, 4)
 
 
+def _closed_form(formula, k):
+    """The denominator of the F3 or F4 term at position k, written out."""
+    if isinstance(formula, F3):
+        b = 2 * k + 1
+        return b**3 - b
+    b = 2 * k - 1
+    return b**5 + 4 * b
+
+
 class TestVanishOnset:
     def test_f3_floor(self):
         assert vanish_onset(F3(), D, FLOOR_EACH_OP) == 7663
@@ -196,11 +205,7 @@ class TestVanishOnset:
     def test_onset_is_exactly_the_threshold(self, formula, policy, onset):
         # independent check: the rounded term vanishes at the onset and not before
         def term(n):
-            if isinstance(formula, F3):
-                b = 2 * n + 1
-                return Fraction(4 * D, b**3 - b)
-            b = 2 * n - 1
-            return Fraction(16 * D, b**5 + 4 * b)
+            return Fraction(formula.factor * D, _closed_form(formula, n))
 
         assert ratio_round(term(onset), policy.mode) == 0
         assert ratio_round(term(onset - 1), policy.mode) >= 1
@@ -214,16 +219,22 @@ class TestVanishOnset:
     @example(5, F3(), FLOOR)
     def test_onset_is_the_threshold_for_any_diameter(self, diameter, formula, mode):
         def term(n):
-            if isinstance(formula, F3):
-                b = 2 * n + 1
-                return Fraction(4 * diameter, b**3 - b)
-            b = 2 * n - 1
-            return Fraction(16 * diameter, b**5 + 4 * b)
+            return Fraction(formula.factor * diameter, _closed_form(formula, n))
 
         policy = FLOOR_EACH_OP if mode is FLOOR else NEAREST_EACH_OP
         onset = vanish_onset(formula, diameter, policy)
         assert ratio_round(term(onset), mode) == 0
         assert onset == 1 or ratio_round(term(onset - 1), mode) >= 1
+
+    @pytest.mark.parametrize("diameter", [10**40, 10**60, 10**100])  # F3 from 10**60 and F4
+    @pytest.mark.parametrize("formula", [F3(), F4()])  # at 10**100 have onsets past sys.maxsize
+    @pytest.mark.parametrize("mode", [FLOOR, NEAREST])
+    def test_onset_of_a_huge_diameter(self, diameter, formula, mode):
+        policy = FLOOR_EACH_OP if mode is FLOOR else NEAREST_EACH_OP
+        onset = vanish_onset(formula, diameter, policy)
+        numerator = formula.factor * diameter
+        assert mode.div(numerator, _closed_form(formula, onset)) == 0
+        assert mode.div(numerator, _closed_form(formula, onset - 1)) >= 1
 
     def test_small_f3_diameters_vanish_at_the_first_term(self):
         # the first F3 term is 4D/24, below 1 exactly for D <= 5
@@ -535,6 +546,22 @@ def _row_outcomes(formula, diameter, policy, n_from, n_to):
         except RoundingUndecidableError as exc:
             outcomes.append(f"undecidable: {exc}")
     return outcomes
+
+
+class TestDenominators:
+    @given(
+        st.sampled_from([F3(), F4()]),
+        st.integers(min_value=1, max_value=10**12),
+        st.sampled_from([1, 2]),
+        st.integers(min_value=-2, max_value=40),
+    )
+    @example(F3(), 1, 2, 0)
+    @example(F4(), 2, 1, -1)
+    def test_a_range_of_positions_gives_the_closed_forms(self, formula, start, step, count):
+        ks = range(start, start + count * step, step)  # odd and even starts; empty when count <= 0
+        want = [_closed_form(formula, k) for k in ks]
+        assert list(formula.denominators(ks)) == want
+        assert [formula.denominator(k) for k in ks] == want
 
 
 class TestBulkSums:
