@@ -51,6 +51,7 @@ from .series_engine import (
 TABLE_DIAMETER = 9 * 10**11
 LEDGER_DIAMETER = 10**17
 MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # caps on `scan` rows; `--terms`, `--max-terms`, `--to`
+MAX_FRAC_DIGITS = 1000  # cap on a series' --frac-digits: each term's work grows with the digits
 
 
 class UsageError(Exception):
@@ -70,12 +71,13 @@ def _plain_int(text: str) -> int:
     return int(text)
 
 
-def _check_terms(flag: str, terms: int | None) -> None:
-    if terms is not None and terms > MAX_TERMS_CAP:
-        raise DomainError(f"{flag} is at most {MAX_TERMS_CAP}")
+def _check_cap(flag: str, value: int | None, cap: int = MAX_TERMS_CAP) -> None:
+    if value is not None and value > cap:
+        raise DomainError(f"{flag} is at most {cap}")
 
 
 def _make_policy(code: str, backend: str = "scaled", frac_digits: int = 40) -> Policy:
+    _check_cap("--frac-digits", frac_digits, MAX_FRAC_DIGITS)
     scaled = ScaledBackend(frac_digits)  # rejects a negative frac_digits whatever the backend
     back = RationalBackend() if backend == "rational" else scaled
     policies = [FLOOR_EACH_OP, NEAREST_EACH_OP, *(ExactFinal(mode, back) for mode in RoundingMode)]
@@ -241,7 +243,7 @@ def _cmd_sqrt(args) -> str:
 
 def _cmd_varman(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
-    _check_terms("--terms", args.terms)
+    _check_cap("--terms", args.terms)
     ledger = build_ledger(args.diameter, policy, args.terms)
     summary = (
         f"terms = {len(ledger.rows)}\n"
@@ -258,7 +260,7 @@ def _cmd_varman(args) -> str:
 def _cmd_circumference(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
-    _check_terms("--terms", args.terms)
+    _check_cap("--terms", args.terms)
     result = circumference(formula, args.diameter, args.terms, policy)
     return _write(args.format, RESULT_HEADERS, _result_rows([result]),
                   lambda *_: f"{result.circumference}\n")
@@ -268,7 +270,7 @@ def _cmd_scan(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     if args.n_to - args.n_from >= MAX_SCAN_ROWS:
         raise DomainError(f"scan covers at most {MAX_SCAN_ROWS} rows")
-    _check_terms("--to", args.n_to)  # its first row sums the whole head
+    _check_cap("--to", args.n_to)  # its first row sums the whole head
     if args.policy == "all":
         final_code = f"final-{args.final_mode or 'nearest'}"
         return _scan_all(
@@ -285,7 +287,7 @@ def _cmd_scan(args) -> str:
 def _cmd_fixed_point(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
-    _check_terms("--max-terms", args.max_terms)
+    _check_cap("--max-terms", args.max_terms)
     report = fixed_point(formula, args.diameter, policy, args.window, args.max_terms)
     return render(report, args.format)
 

@@ -20,6 +20,7 @@ over a stream of divisors in one C-level map pass.  Under half-up that pass is
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -88,8 +89,10 @@ def ratio_round(r: Fraction, mode: RoundingMode) -> int:
     return mode.div(r.numerator, r.denominator)
 
 
-def round_enclosure(m: int, e: int, unit: int, mode: RoundingMode) -> int | None:
+def round_enclosure(m: int, e: int | Fraction, unit: int, mode: RoundingMode) -> int | None:
     """mode.div(x, unit) if it is the same for every x in [m - e, m + e], else None."""
+    if e.denominator != 1:  # e = p/q: the enclosure's ends are (m*q ∓ p) / (unit*q)
+        m, e, unit = m * e.denominator, e.numerator, unit * e.denominator
     rounded = mode.div(m - e, unit)
     return rounded if not e or mode.div(m + e, unit) == rounded else None
 
@@ -188,14 +191,13 @@ class ScaledValue:
 
     def round_checked(self, mode: RoundingMode) -> int:
         """Round to an integer, verifying the error bound cannot change it."""
-        # With error_ulps = p/q the enclosure's ends are (m*q ∓ p) / (10**scale * q).
-        p, q = self.error_ulps.numerator, self.error_ulps.denominator
-        rounded = round_enclosure(self.mantissa * q, p, 10**self.scale * q, mode)
+        rounded = round_enclosure(self.mantissa, self.error_ulps, 10**self.scale, mode)
         if rounded is None:
             near = decimal_string(self.as_fraction(), min(self.scale, 6))
             raise RoundingUndecidableError(
-                f"error bound ≤ {-(-p // q)} ulp at {self.scale} fractional digits straddles "
-                f"a rounding boundary near {near}; increase the number of fractional digits"
+                f"error bound ≤ {math.ceil(self.error_ulps)} ulp at {self.scale} fractional "
+                f"digits straddles a rounding boundary near {near}; increase the number of "
+                "fractional digits"
             )
         return rounded
 

@@ -7,22 +7,23 @@ FORMULAS code table; only vanish_onset's input check tests a formula's type.
 
 Every F2-F4 term is the exact integer factor*D divided by its denominator,
 built for a range of positions from ranges by C-level operator maps (F2's
-are a range); denominator(k) is the one-position case.  One reader,
-_Formula.sums, sums them under any arithmetic (series_engine's unit, split
-and sum_ratios) as rows (n, m, c): the partial sum m and the count c of
-inexact divisions.  Its first row sums the odd and the even positions in one
-bulk pass each; each later row, like each F1 term (a ledger row), adds one
-term.  The per-operation policies' m is the value; ExactFinal rounds each m
-once, read as two ints at the backend's digits.
+are a range); denominator(k) is the one-position case.  Each formula's sums
+yields rows (n, m, c) under any arithmetic (series_engine's unit, split and
+sum_ratios): the partial sum m and a bound c on its error.  F2-F4 share
+_Formula.sums, whose first row sums the odd and the even positions in one
+bulk pass each and whose c counts the inexact divisions; F1's terms divide
+the policy's own root of 12D^2, and end once they are all zero.  One reader,
+_Formula.values, rounds the rows of every formula: the per-operation
+policies' m is the value; ExactFinal rounds each m once, within c of the
+exact sum at the backend's digits.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Union
 
@@ -35,12 +36,10 @@ from .series_engine import (
     ScaledBackend,
     TermValue,
     arithmetic,
-    ledger_rows,
 )
 
 
-Sums = Iterator[tuple[int, TermValue, int]]  # (n, m, c): see _Formula.sums
-Partial = Iterator[tuple[int, TermValue]]  # (n, F1's partial sum of n terms)
+Sums = Iterator[tuple[int, TermValue, Union[int, Fraction]]]  # (n, m, c): see _Formula.sums
 Values = Iterator[tuple[int, int]]  # (n, the circumference from n terms)
 
 
@@ -80,21 +79,25 @@ class _Formula:
         """Yield (n, circumference) for n = n_from..n_to; no other row is rounded."""
         if diameter <= 0:
             raise DomainError("diameter must be positive")
+        top = self.top(diameter, policy)
         if not isinstance(policy, ExactFinal):  # every quotient is already rounded
-            yield from ((n, m) for n, m, _ in self.sums(diameter, policy, n_from, n_to))
+            yield from ((n, m) for n, m, _ in self.sums(top, policy, n_from, n_to))
             return
         backend, mode = policy.backend, policy.final_mode
         unit = 10**backend.frac_digits
-        for n, m, c in self.sums(diameter, ScaledBackend(backend.frac_digits), n_from, n_to):
+        for n, m, c in self.sums(top, ScaledBackend(backend.frac_digits), n_from, n_to):
             value, digits = round_enclosure(m, c, unit, mode), backend.frac_digits
             while value is None and digits < backend.max_digits:  # undecided: double them (Ziv)
                 digits *= 2
-                [(_, m, c)] = self.sums(diameter, ScaledBackend(digits), n, n)
+                [(_, m, c)] = self.sums(top, ScaledBackend(digits), n, n)
                 value = round_enclosure(m, c, 10**digits, mode)
             if value is None:  # past the cap: the backend's own sum, exact (c = 0) or failing loudly
-                [(_, m, c)] = self.sums(diameter, backend, n, n)
+                [(_, m, c)] = self.sums(top, backend, n, n)
                 value = policy.round(ScaledValue(m, digits, c) if c else m)
             yield n, value
+
+    def top(self, diameter: int, policy: Policy) -> int:  # what sums builds its terms from
+        return diameter
 
     def sums(self, diameter: int, a: Arithmetic, n_from: int, n_to: int) -> Sums:
         """Yield (n, m, c) for n = n_from..n_to: m is leading*D + t_1 - t_2 + ... ± t_n in
@@ -122,8 +125,13 @@ class _Formula:
     ) -> tuple[int, int] | None:
         """Under an integer policy, the n from which every rounded term is zero and the value;
         if that n lies past max_terms, NoConvergenceError before any term is summed."""
-        onset = _within(max_terms, vanish_onset(self, diameter, policy), "term")
+        onset = _within(max_terms, self.onset(diameter, policy), "term")
         return onset, circumference(self, diameter, onset, policy).circumference
+
+    def onset(self, diameter: int, policy: EachOp) -> int:
+        """The smallest n whose term, rounded by the policy's own division, is zero."""
+        numerator = self.factor * diameter
+        return _first(lambda n: policy.div(numerator, self.denominator(n)) == 0)
 
     def settle_bound(self, diameter: int, policy: Policy) -> int:
         """The least n at which a windowed scan may accept its run."""
@@ -132,35 +140,41 @@ class _Formula:
 
 @dataclass(frozen=True)
 class F1(_Formula):
-    """The root-12 series: its terms are the series ledger's t_k."""
+    """X/1 - X/(3*3) + X/(3^2*5) - ..., X the policy's root of 12D^2: the ledger's t_k."""
 
     code = "f1"
 
-    def values(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Values:
-        """Its ledger rows' partial sums, under every policy, each rounded by the policy."""
-        partial = self.partial_sums(diameter, policy, n_from, n_to)
-        return ((n, policy.round(total)) for n, total in partial)
-
     @staticmethod
-    def _ledger_sums(diameter: int, policy: Policy) -> Partial:
-        total = arithmetic(policy).seed(0)
-        for row in ledger_rows(diameter, policy):
-            total = total + row.t if row.k % 2 else total - row.t
-            yield row.k, total
+    def top(diameter: int, policy: Policy) -> tuple[int, int, int]:
+        """(X, e, unit): the policy's root of 12D^2 and its error bound, in units of 1/unit."""
+        return arithmetic(policy).root_units(12 * diameter * diameter)
 
-    def partial_sums(self, diameter: int, policy: Policy, n_from: int, n_to: int) -> Partial:
-        for n, total in islice(self._ledger_sums(diameter, policy), n_to):
-            if n >= n_from:
-                yield n, total
-        # past the ledger's last row (integer policies) every term is zero
-        yield from zip(range(max(n + 1, n_from), n_to + 1), repeat(total))
+    def sums(self, top: tuple[int, int, int], a: Arithmetic, n_from: int, n_to: int) -> Sums:
+        """Rows as in _Formula.sums, t_k = a.split(x, 3^(k-1) (2k - 1)) with x the root in units
+        of 1/a.unit: nested roundings by odd divisors compose, so t_k is the ledger's term.
+        Each term adds (r_k + e)/d_k to c, e the root's error.  From the first zero quotient
+        with 3^(k-1) > x on, each quotient is zero with the same r, and as each d_k is over 3
+        times the last, 3(r + e)/(2 d_k) bounds them all."""
+        root, error, unit = top
+        x, e = root * a.unit // unit, error * a.unit // unit
+        m = c = 0
+        for k in range(1, n_to + 1):
+            power = 3 ** (k - 1)
+            d = power * (2 * k - 1)
+            q, r = a.split(x, d)
+            if not q and power > x:  # every later row is this one
+                c += Fraction(3 * (r + e), 2 * d)
+                yield from zip(range(max(k, n_from), n_to + 1), repeat(m), repeat(c))
+                return
+            m = m + q if k % 2 else m - q
+            c += Fraction(r + e, d)
+            if k >= n_from:
+                yield k, m, c
 
-    def analytic_fixed_point(
-        self, diameter: int, policy: Policy, max_terms: int
-    ) -> tuple[int, int]:
-        # the ledger ends at its first row with x = 0, and its sum is the fixed value
-        [(onset, total)] = deque(self._ledger_sums(diameter, policy), maxlen=1)
-        return _within(max_terms, onset, "term"), policy.round(total)
+    def onset(self, diameter: int, policy: EachOp) -> int:
+        """The first k whose x_k, X/3^(k-1) rounded, is zero: the ledger's last row."""
+        root = self.top(diameter, policy)[0]
+        return _first(lambda k: policy.div(root, 3 ** (k - 1)) == 0)
 
 
 @dataclass(frozen=True)
@@ -302,8 +316,8 @@ def scan_range(
 def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
     """Smallest n whose term, rounded by the policy's own division, is zero.
 
-    Only F3 and F4 are supported: F1 ends with its ledger, and F2's rounded
-    terms vanish only past n = 2D (floor) or 4D (nearest).
+    Only F3 and F4 are supported: F1's fixed point is where its ledger ends,
+    and F2's rounded terms vanish only past n = 2D (floor) or 4D (nearest).
     """
     if not isinstance(formula, (F3, F4)):
         raise UnsupportedFormulaError(
@@ -313,8 +327,7 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
         raise UnsupportedFormulaError("vanish onset needs an integer rounding policy")
     if diameter <= 0:
         raise DomainError("diameter must be positive")
-    numerator = formula.factor * diameter
-    return _first(lambda n: policy.div(numerator, formula.denominator(n)) == 0)
+    return formula.onset(diameter, policy)
 
 
 def _first(vanished: Callable[[int], bool]) -> int:

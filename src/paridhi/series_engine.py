@@ -3,7 +3,8 @@
 The computation: seed x1 = sqrt(12 * diameter**2), then repeatedly divide
 by 3 to get x2, x3, ...; the k-th term is t_k = x_k / (2k - 1); odd- and
 even-position terms are summed separately and the circumference is their
-difference, C = O - E.
+difference, C = O - E.  The ledger serves the varman command only: F1 in
+madhava_formulas sums the same terms through the formulas' reader.
 
 Three policies control how the inexact square root and divisions are
 handled:
@@ -19,11 +20,13 @@ handled:
 Each EachOp and each ExactFinal backend carries its own arithmetic:
 seed(n) makes the exact integer n a value, root(radicand) is the ledger's
 seed root, div(x, d) divides a value by an integer and round rounds a value
-to an integer.  A formula reads its sums of quotients through unit (10**s on
-ScaledBackend(s), else 1), split(n, d) -> (q, r), one quotient whose r is
-nonzero only where a truncating division was inexact, and sum_ratios(n, ds)
--> (the sum of the q over ds in one bulk pass, how many were inexact; under
-EachOp, mode.sum_div, one floordiv map for a range such as F2's divisors).
+to an integer.  root_units(radicand) is that root as F1 reads it: (X, e,
+unit), X and its error bound e in units of 1/unit.  A formula reads its sums
+of quotients through unit (10**s on ScaledBackend(s), else 1), split(n, d)
+-> (q, r), one quotient whose r is nonzero only where a truncating division
+was inexact, and sum_ratios(n, ds) -> (the sum of the q over ds in one bulk
+pass, how many were inexact; under EachOp, mode.sum_div, one floordiv map
+for a range such as F2's divisors).
 arithmetic(policy) picks the object; policy.round(value) is round_final.
 """
 
@@ -55,6 +58,9 @@ class EachOp:
         root, rem = isqrt(radicand)
         return root + self.mode.div(rem, 2 * root + 1)
 
+    def root_units(self, radicand: int) -> tuple[int, int, int]:
+        return self.root(radicand), 0, 1
+
     def split(self, n: int, d: int) -> tuple[int, int]:
         return self.mode.div(n, d), 0
 
@@ -76,6 +82,10 @@ class RationalBackend:
 
     def root(self, radicand: int) -> Fraction:
         return Fraction(isqrt(radicand)[0])
+
+    @staticmethod
+    def root_units(radicand: int) -> tuple[int, int, int]:
+        return isqrt(radicand)[0], 0, 1
 
     @staticmethod
     def split(n: int, d: int) -> tuple[Fraction, int]:
@@ -119,6 +129,10 @@ class ScaledBackend:
 
     def root(self, radicand: int) -> ScaledValue:
         return sqrt_scaled(radicand, self.frac_digits)
+
+    def root_units(self, radicand: int) -> tuple[int, int, int]:
+        root = self.root(radicand)
+        return root.mantissa, root.error_ulps, self.unit
 
     max_digits = property(lambda self: self.frac_digits)  # a fixed precision: never doubled
     unit = property(lambda self: 10**self.frac_digits)

@@ -5,9 +5,18 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paridhi import cli
-from paridhi.cli import MAX_SCAN_ROWS, MAX_TERMS_CAP, POLICY_CHOICES, execute, render
+from paridhi.cli import (
+    MAX_FRAC_DIGITS,
+    MAX_SCAN_ROWS,
+    MAX_TERMS_CAP,
+    POLICY_CHOICES,
+    execute,
+    render,
+)
 from paridhi.madhava_formulas import F3, fixed_point, scan_range
 from paridhi.series_engine import FLOOR_EACH_OP, build_ledger
 
@@ -118,6 +127,25 @@ class TestVarman:
         _, out, _ = run("varman", "--diameter", D17, "--policy", "floor", "--ledger")
         assert "1 | 346410161513775458 | (÷1) | + | 346410161513775458" in out
         assert out.count("\n") >= 40
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**18),
+        st.sampled_from(POLICY_CHOICES),
+        st.sampled_from(["scaled", "rational"]),
+        st.sampled_from([0, 1, 2, 3, 6, 40]),
+        st.integers(min_value=1, max_value=80),
+    )
+    @example(10**17, "floor", "scaled", 40, 80)  # the ledger ends at row 38
+    def test_c_is_f1s_circumference_of_its_rows(self, diameter, policy, backend, digits, terms):
+        flags = ["--diameter", str(diameter), "--policy", policy, "--backend", backend,
+                 "--frac-digits", str(digits)]
+        code, out, _ = run("varman", *flags, "--terms", str(terms))
+        if code:  # the ledger's bound left C undecided
+            return
+        summary = dict(line.split(" = ") for line in out.splitlines())
+        assert run("circumference", "--formula", "f1", *flags, "--terms", summary["terms"]) == (
+            0, summary["C"] + "\n", "")
 
 
 class TestRender:
@@ -475,6 +503,31 @@ class TestCaps:
         code, out, err = run(*argv, "--diameter", D12, "--terms", str(MAX_TERMS_CAP + 1))
         assert (code, out, err) == (1, "", f"error: --terms is at most {MAX_TERMS_CAP}\n")
         assert time.perf_counter() - start < 0.2
+
+    @pytest.mark.parametrize("argv", [
+        ["varman", "--diameter", "100", "--terms", "5"],
+        ["circumference", "--formula", "f1", "--diameter", D12, "--terms", "5"],
+        ["scan", "--formula", "f4", "--diameter", D12, "--from", "1", "--to", "3"],
+        ["fixed-point", "--formula", "f4", "--diameter", D12],
+    ])
+    @pytest.mark.parametrize("backend", ["scaled", "rational"])
+    def test_frac_digits_above_the_cap_is_refused(self, argv, backend):
+        start = time.perf_counter()
+        for policy in ("floor", "final-nearest"):
+            code, out, err = run(*argv, "--policy", policy, "--backend", backend,
+                                 "--frac-digits", str(MAX_FRAC_DIGITS + 1))
+            assert (code, out, err) == (1, "", f"error: --frac-digits is at most {MAX_FRAC_DIGITS}\n")
+        assert time.perf_counter() - start < 0.2
+        code, out, err = run(*argv, "--policy", "final-nearest", "--backend", backend,
+                             "--frac-digits", str(MAX_FRAC_DIGITS))
+        assert (code, err) == (0, "")
+
+    def test_f1_at_the_terms_cap_is_quick(self):
+        start = time.perf_counter()
+        code, out, _ = run("circumference", "--formula", "f1", "--diameter", D12,
+                           "--terms", str(MAX_TERMS_CAP), "--policy", "final-nearest")
+        assert (code, out) == (0, "2827433388231\n")
+        assert time.perf_counter() - start < 0.5
 
     def test_terms_at_the_cap_is_accepted(self):
         code, out, _ = run("circumference", "--formula", "f2", "--correction", "c3",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paridhi import madhava_formulas
+from paridhi import madhava_formulas, series_engine
 from paridhi.exact_arith import (
     DomainError,
     RoundingMode,
@@ -438,8 +438,10 @@ class TestBackendAgreement:
 def _oracle(formula, diameter, n, mode, round_each):
     """Circumferences for 1..n terms, summed term by term in plain Fractions.
 
-    round_each rounds every term and every correction (the integer
-    policies); otherwise only the final sum is rounded.
+    round_each rounds every term and every correction, and each of F1's
+    divisions by 3 (the integer policies); otherwise only the final sum is
+    rounded, and F1 starts from the floor root of 12 D^2 (the rational
+    backend's).
     """
     if mode is FLOOR:
         rnd = math.floor
@@ -448,9 +450,14 @@ def _oracle(formula, diameter, n, mode, round_each):
             return math.floor(q + Fraction(1, 2))
     each = rnd if round_each else Fraction
     total = Fraction(3 * diameter if isinstance(formula, F3) else 0)
+    # F1's x_1: the floor root of 12 D^2, or under per-operation half-up the nearest root
+    root = math.isqrt(12 * diameter**2)
+    x = root + (round_each and mode is NEAREST and 12 * diameter**2 - root * root > root)
     values = []
     for k in range(1, n + 1):
-        if isinstance(formula, F2):
+        if isinstance(formula, F1):  # the ledger's chain: x_k / (2k - 1), then x_k / 3
+            term, x = Fraction(x, 2 * k - 1), each(Fraction(x, 3))
+        elif isinstance(formula, F2):
             term = Fraction(4 * diameter, 2 * k - 1)
         elif isinstance(formula, F3):
             term = Fraction(4 * diameter, (2 * k + 1) ** 3 - (2 * k + 1))
@@ -470,11 +477,14 @@ def _oracle(formula, diameter, n, mode, round_each):
     return values
 
 
+EVERY_FORMULA = [F1(), *(F2(c) for c in CorrectionId), F3(), F4()]
+
+
 class TestOracle:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=1, max_value=10**18),
-        st.sampled_from([F2(c) for c in CorrectionId] + [F3(), F4()]),
+        st.sampled_from(EVERY_FORMULA),
         st.integers(min_value=1, max_value=60),
         st.sampled_from([FLOOR, NEAREST]),
     )
@@ -485,6 +495,8 @@ class TestOracle:
             assert circumference(formula, diameter, n, policy).circumference == want[-1]
             scan = scan_range(formula, diameter, policy, 1, n)
             assert [r.circumference for r in scan] == want
+        if isinstance(formula, F1):  # on scaled it starts from the true root, not the floor root
+            return
         try:
             scaled = circumference(formula, diameter, n, ExactFinal(mode, ScaledBackend(40)))
         except RoundingUndecidableError:
@@ -492,7 +504,6 @@ class TestOracle:
         assert scaled.circumference == want[-1]
 
 
-EVERY_FORMULA = [F1(), *(F2(c) for c in CorrectionId), F3(), F4()]
 # the four arithmetics; scaled at 0-6 digits, where undecidable roundings occur
 EVERY_POLICY = [FLOOR_EACH_OP, NEAREST_EACH_OP] + [
     ExactFinal(mode, backend)
@@ -533,6 +544,17 @@ def _row_by_row(formula, diameter, policy, n):
         corr = ratio(4 * diameter * f.numerator, f.denominator)
         total = total + corr if n % 2 == 0 else total - corr
     return policy.round(total)
+
+
+def _ledger_outcomes(diameter, policy, n):
+    """F1's circumference of each n' in 1..n from the ledger's rows summed one at a time, or
+    the message of the RoundingUndecidableError it raises; past an integer ledger's last row
+    the sum repeats."""
+    total, outcomes = arithmetic(policy).seed(0), []
+    for row in islice(ledger_rows(diameter, policy), n):
+        total = total + row.t if row.k % 2 else total - row.t
+        outcomes.append(_outcome(lambda: policy.round(total)))
+    return outcomes + outcomes[-1:] * (n - len(outcomes))
 
 
 def _row_outcomes(formula, diameter, policy, n_from, n_to):
@@ -577,7 +599,10 @@ class TestBulkSums:
     @example(F2C3, ExactFinal(NEAREST, ScaledBackend(0)), D, 30)  # "error bound ≤ 24 ulp ..."
     def test_bulk_matches_the_row_by_row_sum(self, formula, policy, diameter, n):
         bulk = _outcome(lambda: circumference(formula, diameter, n, policy).circumference)
-        assert bulk == _outcome(lambda: _row_by_row(formula, diameter, policy, n))
+        row_by_row = _outcome(lambda: _row_by_row(formula, diameter, policy, n))
+        # on scaled, F1's bound is tighter than its ledger's: compare where the ledger decides
+        if not (isinstance(formula, F1) and isinstance(row_by_row, str)):
+            assert bulk == row_by_row
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -650,21 +675,54 @@ class TestBulkSums:
         with pytest.raises(DomainError, match="diameter must be positive"):
             fixed_point(formula, diameter, policy)
 
-    def test_f1_analytic_fixed_point_walks_the_ledger_once(self, monkeypatch):
+    def test_f1_analytic_fixed_point_walks_no_ledger(self, monkeypatch):
         calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return ledger_rows(*args)
-
-        monkeypatch.setattr(madhava_formulas, "ledger_rows", counted)
+        monkeypatch.setattr(series_engine, "ledger_rows", _spy(series_engine.ledger_rows, calls))
         report = fixed_point(F1(), 10**17, FLOOR_EACH_OP, max_terms=100)
         assert report.record() == {
             "formula": "f1", "correction": "", "diameter": 10**17, "policy": "floor",
             "fixed_value": 314159265358979324, "onset": 38, "method": "analytic-vanish",
             "max_terms_examined": 38,
         }
-        assert len(calls) == 1
+        assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([RationalBackend(), *map(ScaledBackend, (0, 3, 40))]),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+    )
+    def test_f1_rows_bound_every_term(self, a, diameter, n):
+        # every row sums all its terms, even past the first zero quotient, and c is at least
+        # the sum of (r_k + e)/d_k over them
+        top = F1.top(diameter, ExactFinal(FLOOR, a))
+        x, e, _ = top
+        m = bound = 0
+        for want_n, (k, got_m, got_c) in enumerate(F1().sums(top, a, 1, n), 1):
+            d = 3 ** (k - 1) * (2 * k - 1)
+            q, r = a.split(x, d)
+            m, bound = m + q if k % 2 else m - q, bound + Fraction(r + e, d)
+            assert (k, got_m) == (want_n, m)
+            assert got_c >= bound
+        assert want_n == n
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(EVERY_POLICY),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+    )
+    @example(ExactFinal(FLOOR, ScaledBackend(1)), 1, 60)
+    @example(NEAREST_EACH_OP, 10**17, 45)
+    def test_f1_reads_the_ledgers_values(self, policy, diameter, n):
+        ledger = _ledger_outcomes(diameter, policy, n)
+        f1 = _row_outcomes(F1(), diameter, policy, 1, n)
+        if not isinstance(arithmetic(policy), ScaledBackend):
+            assert f1 == ledger
+            return
+        # its bound is never wider than the ledger's: it decides every row the ledger decides
+        for by_ledger, value in zip(ledger, f1):
+            assert isinstance(by_ledger, str) or value == by_ledger
 
 
 ROUNDED_FORMULAS = [*(F2(c) for c in CorrectionId), F3(), F4()]  # the (m, c) readers
@@ -724,19 +782,23 @@ def _spy(fn, calls):
 
 
 class TestIntegerState:
-    """Exact-final F2-F4 sums are two ints, (mantissa, inexact count), at the backend's digits."""
+    """Exact-final sums are read as (mantissa, error bound) at the backend's digits."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from(ROUNDED_FORMULAS),
+        st.one_of(  # F1 on the rational backends only, as the oracle starts from the floor root
+            st.tuples(st.sampled_from(ROUNDED_FORMULAS), st.sampled_from(EXACT_BACKENDS)),
+            st.tuples(st.just(F1()), st.sampled_from([RationalBackend(), _NarrowRational()])),
+        ),
         st.sampled_from([FLOOR, NEAREST]),
-        st.sampled_from(EXACT_BACKENDS),
         st.integers(min_value=1, max_value=10**18),
         st.integers(min_value=1, max_value=300),
     )
-    @example(F2C3, FLOOR, RationalBackend(), 7, 2)
-    @example(F2C3, NEAREST, _NarrowRational(), 145145, 8)
-    def test_readers_match_the_fraction_oracle(self, formula, mode, backend, diameter, n):
+    @example((F2C3, RationalBackend()), FLOOR, 7, 2)
+    @example((F2C3, _NarrowRational()), NEAREST, 145145, 8)
+    @example((F1(), _NarrowRational()), NEAREST, 10**17, 60)
+    def test_readers_match_the_fraction_oracle(self, case, mode, diameter, n):
+        formula, backend = case
         want = _oracle(formula, diameter, n, mode, round_each=False)
         got = []
         try:
@@ -772,6 +834,26 @@ class TestIntegerState:
                 assert distance < Fraction(2 * ulps, 10**digits)
             else:
                 assert scaled.circumference == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([FLOOR, NEAREST]),
+        st.sampled_from([*range(7), 40]),
+        st.integers(min_value=1, max_value=10**18),
+        st.integers(min_value=1, max_value=300),
+    )
+    @example(NEAREST, 0, 1, 1)
+    def test_f1_on_scaled_rounds_the_true_sum(self, mode, digits, diameter, n):
+        # sqrt(12 D^2) lies in [root, root + 1] / 10**t, so the true sum of n terms lies
+        # between those ends times S = 1 - 1/(3*3) + 1/(3^2*5) - ...
+        t = digits + 30
+        root = math.isqrt(12 * diameter**2 * 100**t)
+        series = sum(Fraction((-1) ** (k + 1), 3 ** (k - 1) * (2 * k - 1)) for k in range(1, n + 1))
+        lo, hi = (ratio_round(r * series / 10**t, mode) for r in (root, root + 1))
+        got = _outcome(lambda: circumference(
+            F1(), diameter, n, ExactFinal(mode, ScaledBackend(digits))).circumference)
+        if lo == hi and not isinstance(got, str):  # a decided row is the true rounding
+            assert got == lo
 
     @pytest.mark.parametrize("formula,diameter,n,mode", TIES)
     def test_ties_reach_the_exact_rung(self, formula, diameter, n, mode, monkeypatch):
