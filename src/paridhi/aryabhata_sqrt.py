@@ -14,12 +14,12 @@ step so the computation can be rendered as a worksheet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_arith import DomainError, ScaledValue
 
 
-@dataclass(frozen=True)
-class SqrtStep:
+class SqrtStep(NamedTuple):
     """One place of the worksheet.
 
     For an even place the digit-bearing division happens:

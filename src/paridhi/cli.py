@@ -15,10 +15,11 @@ import functools
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from .aryabhata_sqrt import SqrtTrace, isqrt, isqrt_nearest, isqrt_traced, sqrt_scaled
-from .exact_arith import DomainError, RoundingMode, ScaledValue, decimal_string
+from .exact_arith import DomainError, RoundingMode, ScaledValue, decimal_string, int_to_digits
 from .madhava_formulas import (
     F1,
     F2,
@@ -233,6 +234,10 @@ def _cmd_sqrt(args) -> str:
     if args.trace:
         return render(isqrt_traced(args.n), args.format)
     if args.frac_digits is not None:
+        digits, limit = len(str(args.n)) + 2 * args.frac_digits, sys.get_int_max_str_digits()
+        if args.n > 0 and 0 < limit < digits:  # the digit-pair root reads the radicand with str()
+            raise DomainError(f"n * 10^(2 * frac_digits) has {digits} digits, more than the "
+                              f"interpreter's int/str limit of {limit}")
         scaled = sqrt_scaled(args.n, args.frac_digits)
         return f"root = {scaled.decimal()}\n"
     if args.round == "nearest":
@@ -302,9 +307,9 @@ def _cmd_decode(args) -> str:
     if args.system == "katapayadi":
         if args.lexicon is not None:
             raise UsageError("--lexicon applies only to --system bhutasamkhya")
-        return f"{decode_katapayadi(args.tokens)}\n"
+        return int_to_digits(decode_katapayadi(args.tokens)) + "\n"
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    return f"{decode_bhutasamkhya(args.tokens, lexicon)}\n"
+    return int_to_digits(decode_bhutasamkhya(args.tokens, lexicon)) + "\n"
 
 
 def _cmd_encode(args) -> str:
@@ -469,8 +474,6 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import sys
-
     code, out, err = execute(sys.argv[1:] if argv is None else argv)
     if out:
         sys.stdout.write(out)

@@ -97,6 +97,29 @@ def round_enclosure(m: int, e: int | Fraction, unit: int, mode: RoundingMode) ->
     return rounded if not e or mode.div(m + e, unit) == rounded else None
 
 
+# Digits per int<->str conversion: 640 is the smallest limit sys.set_int_max_str_digits
+# accepts, so chunks this long convert under any setting without touching it.
+_CHUNK = 640
+_CHUNK_BOUND = 10**_CHUNK
+
+
+def digits_to_int(digits: str) -> int:
+    """int(digits) for a string of ASCII decimal digits of any length."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    low = len(digits) // 2
+    return digits_to_int(digits[:-low]) * 10**low + digits_to_int(digits[-low:])
+
+
+def int_to_digits(n: int) -> str:
+    """str(n) for an integer n >= 0 of any size."""
+    if n < _CHUNK_BOUND:
+        return str(n)
+    low = (n.bit_length() * 1233 >> 12) // 2  # half of a lower bound on the digit count
+    high, rest = divmod(n, 10**low)
+    return int_to_digits(high) + int_to_digits(rest).zfill(low)
+
+
 def decimal_string(r: Fraction, places: int) -> str:
     """Exact decimal expansion of r truncated (not rounded) to `places` digits.
 

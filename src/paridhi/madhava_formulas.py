@@ -92,7 +92,8 @@ class _Formula:
                 [(_, m, c)] = self.sums(top, ScaledBackend(digits), n, n)
                 value = round_enclosure(m, c, 10**digits, mode)
             if value is None:  # past the cap: the backend's own sum, exact (c = 0) or failing loudly
-                [(_, m, c)] = self.sums(top, backend, n, n)
+                if backend != ScaledBackend(digits):  # else that sum is the (m, c) in hand
+                    [(_, m, c)] = self.sums(top, backend, n, n)
                 value = policy.round(ScaledValue(m, digits, c) if c else m)
             yield n, value
 

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .exact_arith import DomainError
+from .exact_arith import DomainError, digits_to_int
 
 
 class DecodeError(DomainError):
@@ -49,10 +49,9 @@ _CANONICAL_SYLLABLE = {
     6: "ca", 7: "cha", 8: "ja", 9: "jha", 0: "ña",
 }
 
-# Longest first so digraph aspirates win over their base consonant.
-_CONSONANTS = sorted(KATAPAYADI_VALUES, key=len, reverse=True)
-_VOWELS = ("ai", "au", "a", "ā", "i", "ī", "u", "ū", "e", "o", "ṛ", "ṝ")
-_FINALS = ("ḥ", "ṃ")
+_DIGITS = {consonant: str(value) for consonant, value in KATAPAYADI_VALUES.items()}
+_VOWELS = frozenset(("ai", "au", "a", "ā", "i", "ī", "u", "ū", "e", "o", "ṛ", "ṝ"))
+_FINALS = "ḥṃ"  # visarga, anusvara
 
 
 @dataclass(frozen=True)
@@ -82,23 +81,19 @@ def parse_syllable(text: str) -> SyllableToken:
     cluster: list[str] = []
     vowel: str | None = None
     pos = 0
-    while pos < len(norm):
-        if vowel is None:
-            hit = next((c for c in _CONSONANTS if norm.startswith(c, pos)), None)
-            if hit:
-                cluster.append(hit)
-                pos += len(hit)
-                continue
-            hit = next((v for v in _VOWELS if norm.startswith(v, pos)), None)
-            if hit:
-                vowel = hit
-                pos += len(hit)
-                continue
-            raise DecodeError(f"unknown letter {norm[pos]!r} in token {text!r}")
-        if norm.startswith(_FINALS, pos):
-            pos += 1
+    while pos < len(norm):  # every digraph is two letters: look up the pair, then one letter
+        pair, letter = norm[pos:pos + 2], norm[pos]
+        consonant = pair if pair in KATAPAYADI_VALUES else letter
+        if consonant in KATAPAYADI_VALUES:
+            cluster.append(consonant)
+            pos += len(consonant)
             continue
-        raise DecodeError(f"unexpected text after vowel in token {text!r}")
+        vowel = pair if pair in _VOWELS else letter
+        if vowel not in _VOWELS:
+            raise DecodeError(f"unknown letter {letter!r} in token {text!r}")
+        if norm[pos + len(vowel):].lstrip(_FINALS):
+            raise DecodeError(f"unexpected text after vowel in token {text!r}")
+        break
     return SyllableToken(norm, tuple(cluster), vowel)
 
 
@@ -113,15 +108,13 @@ def katapayadi_digits(tokens: Sequence[SyllableToken | str]) -> str:
     """
     digits = []
     for token in _coerce_tokens(tokens):
-        if not token.bears_digit:
+        if token.vowel is None:
             continue  # syllable-final consonants carry no value
-        if not token.consonant_cluster:
-            digits.append("0")
-            continue
-        value = KATAPAYADI_VALUES.get(token.consonant_cluster[-1])
-        if value is None:  # only a hand-built token can carry an unlisted consonant
-            raise DecodeError(f"consonant {token.consonant_cluster[-1]!r} has no value")
-        digits.append(str(value))
+        cluster = token.consonant_cluster
+        digit = _DIGITS.get(cluster[-1]) if cluster else "0"
+        if digit is None:  # only a hand-built token can carry an unlisted consonant
+            raise DecodeError(f"consonant {cluster[-1]!r} has no value")
+        digits.append(digit)
     if not digits:
         raise DecodeError("no digit-bearing syllables in input")
     return "".join(digits)
@@ -129,7 +122,7 @@ def katapayadi_digits(tokens: Sequence[SyllableToken | str]) -> str:
 
 def decode_katapayadi(tokens: Sequence[SyllableToken | str]) -> int:
     """Decode syllables to an integer (digit order reversed, units first)."""
-    return int(katapayadi_digits(tokens)[::-1])
+    return digits_to_int(katapayadi_digits(tokens)[::-1])
 
 
 def encode_katapayadi(n: int) -> list[SyllableToken]:
@@ -214,7 +207,7 @@ def decode_bhutasamkhya(
         kind, digits = classified[0]
         if kind != "digits":
             raise DecodeError(f"magnitude word {words[0]!r} cannot carry digits")
-        return int(digits) * 10 ** classified[1][1]
+        return digits_to_int(digits) * 10 ** classified[1][1]
     parts = []
     for word, (kind, value) in zip(words, classified):
         if kind != "digits":
@@ -222,4 +215,4 @@ def decode_bhutasamkhya(
                 f"magnitude word {word!r} mixed into a digit sequence"
             )
         parts.append(value)
-    return int("".join(reversed(parts)))
+    return digits_to_int("".join(reversed(parts)))

@@ -42,6 +42,28 @@ def reference_trace(n: int) -> SqrtTrace:
     return SqrtTrace(n, tuple(steps), root, rem)
 
 
+class TestSqrtStep:
+    def test_fields_repr_and_equality(self):
+        trace = isqrt_traced(987654321)
+        assert trace == reference_trace(987654321)
+        step = trace.steps[1]
+        assert SqrtStep._fields == (
+            "place_kind", "working_value", "divisor_or_square", "digit_emitted", "subtracted"
+        )
+        assert repr(step) == (
+            "SqrtStep(place_kind='even', working_value=8, divisor_or_square=6, "
+            "digit_emitted=1, subtracted=6)"
+        )
+        assert step == SqrtStep("even", 8, 6, 1, 6)
+
+    def test_fields_cannot_be_assigned(self):
+        step = isqrt_traced(987654321).steps[0]
+        with pytest.raises(AttributeError):
+            step.digit_emitted = 4
+        with pytest.raises(AttributeError):
+            step.note = "extra"
+
+
 class TestIsqrt:
     def test_worked_example(self):
         assert isqrt(987654321) == (31426, 60845)

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import math
+import random
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from paridhi.cli import (
     render,
 )
 from paridhi.madhava_formulas import F3, fixed_point, scan_range
+from paridhi.numerals import KATAPAYADI_VALUES, default_lexicon
 from paridhi.series_engine import FLOOR_EACH_OP, build_ledger
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -275,6 +279,37 @@ class TestNumeralCommands:
         assert decoded == "314159265358979324\n"
 
 
+class TestDecodePastTheStrLimit:
+    """Decoded values longer than the interpreter's 4300-digit int/str limit still print."""
+
+    @staticmethod
+    def expected(groups_units_first):
+        return "".join(reversed(groups_units_first)).lstrip("0") or "0"
+
+    @pytest.mark.parametrize("length", [4400, 10_000])
+    def test_katapayadi(self, length):
+        rng = random.Random(length)
+        spellings = [[c + v for c in KATAPAYADI_VALUES if KATAPAYADI_VALUES[c] == d
+                      for v in ("a", "ā", "i", "o")] for d in range(10)]
+        spellings[0].append("a")  # a standalone vowel counts 0
+        digits = [rng.randrange(10) for _ in range(length)]
+        tokens = [rng.choice(spellings[d]) for d in digits]
+        code, out, err = run("decode", "--system", "katapayadi", *tokens)
+        assert (code, out, err) == (0, self.expected([str(d) for d in digits]) + "\n", "")
+
+    @pytest.mark.parametrize("length", [4400, 10_000])
+    def test_bhutasamkhya(self, length):
+        rng = random.Random(length)
+        lexicon = sorted(default_lexicon().digit_words.items())
+        words, groups = [], []
+        while (left := length - sum(map(len, groups))) > 0:
+            word, group = rng.choice([(w, g) for w, g in lexicon if len(g) <= left])
+            words.append(word)
+            groups.append(group)
+        code, out, err = run("decode", "--system", "bhutasamkhya", *words)
+        assert (code, out, err) == (0, self.expected(groups) + "\n", "")
+
+
 class TestSqrtCommand:
     def test_plain(self):
         _, out, _ = run("sqrt", "987654321")
@@ -298,6 +333,21 @@ class TestSqrtCommand:
     def test_negative_is_domain_error(self):
         code, _, err = run("sqrt", "-4")
         assert code == 1
+
+    def test_frac_digits_up_to_the_str_limit(self, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int/str digit limit")
+        frac = (limit - 1) // 2
+        n = 2 * 10 ** (limit - 2 * frac - 1)  # n * 10^(2 * frac) has exactly `limit` digits
+        root = math.isqrt(n * 10 ** (2 * frac))
+        code, out, err = run("sqrt", str(n), "--frac-digits", str(frac))
+        assert (code, out, err) == (0, f"root = {root // 10**frac}.{root % 10**frac:0{frac}d}\n", "")
+        monkeypatch.setattr(cli, "sqrt_scaled", None)  # one digit more is refused before any work
+        code, out, err = run("sqrt", str(10 * n), "--frac-digits", str(frac))
+        assert (code, out) == (1, "")
+        assert err == (f"error: n * 10^(2 * frac_digits) has {limit + 1} digits, more than the "
+                       f"interpreter's int/str limit of {limit}\n")
 
     @pytest.mark.parametrize(
         "flags",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from paridhi.exact_arith import (
     RoundingUndecidableError,
     ScaledValue,
     decimal_string,
+    digits_to_int,
     floor_div,
+    int_to_digits,
     nearest_div,
     ratio_round,
 )
@@ -149,6 +152,25 @@ class TestDecimalString:
         text = decimal_string(r, places)
         parsed = Fraction(text)
         assert 0 <= r - parsed < Fraction(1, 10**places if places else 1)
+
+
+class TestDigitStrings:
+    """int <-> decimal string at any length, in chunks below every int/str limit."""
+
+    @pytest.mark.parametrize("length", [1, 639, 640, 641, 1280, 1281, 4300, 4301, 10_000])
+    def test_round_trip(self, length):
+        rng = random.Random(length)
+        text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=length - 1))
+        n = digits_to_int(text)
+        assert int_to_digits(n) == text
+        assert n // 10 ** (length - min(length, 600)) == int(text[:600])
+        assert n % 10**600 == int(text[-600:])
+
+    def test_leading_zeros_and_zero(self):
+        assert digits_to_int("0" * 5000) == 0
+        assert digits_to_int("0" * 4999 + "7") == 7
+        assert int_to_digits(0) == "0"
+        assert int_to_digits(10**5000) == "1" + "0" * 5000
 
 
 class TestScaledValue:

@@ -868,6 +868,14 @@ class TestIntegerState:
         assert got.circumference == _oracle(formula, diameter, n, mode, round_each=False)[-1]
         assert len(exact_heads) == 2  # the odd and the even positions, once
 
+    def test_an_undecided_scaled_row_is_summed_once(self, monkeypatch):
+        # the scaled backend's own sum is the read in hand: no second pass before the error
+        reads = []
+        monkeypatch.setattr(F2, "sums", _spy(F2.sums, reads))
+        with pytest.raises(RoundingUndecidableError, match="error bound ≤ 24 ulp at 0 fractional"):
+            circumference(F2C3, D, 30, ExactFinal(NEAREST, ScaledBackend(0)))
+        assert [arithmetic for _, _, arithmetic, _, _ in reads] == [ScaledBackend(0)]
+
     def test_a_rung_below_the_cap_settles_a_near_tie(self, monkeypatch):
         one_digit = ExactFinal(NEAREST, ScaledBackend(1))
         undecided = [n for n in range(1, 41) if isinstance(

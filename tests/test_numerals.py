@@ -1,8 +1,11 @@
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paridhi.numerals import (
+    KATAPAYADI_VALUES,
     DecodeError,
     SyllableToken,
     decode_bhutasamkhya,
@@ -51,6 +54,72 @@ class TestParseSyllable:
     def test_empty(self):
         with pytest.raises(DecodeError):
             parse_syllable("  ")
+
+
+_SCAN_CONSONANTS = sorted(KATAPAYADI_VALUES, key=len, reverse=True)
+_SCAN_VOWELS = ("ai", "au", "a", "ā", "i", "ī", "u", "ū", "e", "o", "ṛ", "ṝ")
+_STRAYS = ["x", "q", "ḷ", "ṁ", "-", "1", "\u0301", "\u0304", "aa", "Kh", "Ā", "Ṭh", " "]
+
+
+def scan_syllable(text: str) -> SyllableToken:
+    """Reference parser: at each position, the first letter of a longest-first list
+    that the text starts with."""
+    norm = unicodedata.normalize("NFC", text.strip().lower())
+    if not norm:
+        raise DecodeError("empty syllable token")
+    cluster: list[str] = []
+    vowel = None
+    pos = 0
+    while pos < len(norm):
+        if vowel is None:
+            hit = next((c for c in _SCAN_CONSONANTS if norm.startswith(c, pos)), None)
+            if hit:
+                cluster.append(hit)
+                pos += len(hit)
+                continue
+            hit = next((v for v in _SCAN_VOWELS if norm.startswith(v, pos)), None)
+            if hit:
+                vowel = hit
+                pos += len(hit)
+                continue
+            raise DecodeError(f"unknown letter {norm[pos]!r} in token {text!r}")
+        if norm.startswith(("ḥ", "ṃ"), pos):
+            pos += 1
+            continue
+        raise DecodeError(f"unexpected text after vowel in token {text!r}")
+    return SyllableToken(norm, tuple(cluster), vowel)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except DecodeError as exc:
+        return str(exc)
+
+
+_letters = st.sampled_from([*KATAPAYADI_VALUES, *_SCAN_VOWELS, "ḥ", "ṃ", *_STRAYS])
+
+
+@st.composite
+def _syllable_texts(draw):
+    text = "".join(draw(st.lists(_letters, max_size=6)))
+    if draw(st.booleans()):
+        text = text.upper()
+    if draw(st.booleans()):
+        text = unicodedata.normalize("NFD", text)
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  "]))
+
+
+class TestParseSyllableMatchesTheScan:
+    @settings(max_examples=2000)
+    @given(_syllable_texts())
+    def test_same_token_or_message(self, text):
+        assert _parsed(parse_syllable, text) == _parsed(scan_syllable, text)
+
+    @pytest.mark.parametrize("text", ["kha", "kh", "k", "ṭhā", "bhai", "au", "ddhaḥṃ", "kaiḥx",
+                                      "ḍha", "Gau", "nma", "a", "ai", "kṣ", "x", "kax", "\u0301"])
+    def test_digraph_edges(self, text):
+        assert _parsed(parse_syllable, text) == _parsed(scan_syllable, text)
 
 
 class TestDecodeKatapayadi:
