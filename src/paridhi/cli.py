@@ -26,7 +26,6 @@ from .madhava_formulas import (
     F3,
     F4,
     FORMULAS,
-    ConvergenceReport,
     CorrectionId,
     FormulaId,
     NoConvergenceError,
@@ -67,9 +66,15 @@ class _Parser(argparse.ArgumentParser):
 def _plain_int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise argparse.ArgumentTypeError(
-            f"plain decimal integer required (no exponents or dots): {text!r}"
+            f"plain decimal integer required (no exponents or dots): {text[:20]!r}"
         )
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int/str limit; argparse would echo it all
+        raise argparse.ArgumentTypeError(
+            f"integer of {len(text.lstrip('-'))} digits is longer than the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()}: {text[:20]}..."
+        ) from None
 
 
 def _check_cap(flag: str, value: int | None, cap: int = MAX_TERMS_CAP) -> None:
@@ -155,18 +160,6 @@ def _key_values(headers: list[str], rows: list[list]) -> str:
     return "".join(f"{key} = {value}\n" for key, value in zip(headers, rows[0]))
 
 
-def render(results, fmt: str = "table") -> str:
-    """Render results (scan lists, ledgers, traces, reports) as text."""
-    if isinstance(results, SeriesLedger):
-        return _write(fmt, LEDGER_HEADERS, _ledger_rows(results), _ledger_table)
-    if isinstance(results, SqrtTrace):
-        return _write(fmt, TRACE_HEADERS, _trace_rows(results), lambda *_: _worksheet(results))
-    if isinstance(results, ConvergenceReport):
-        record = results.record()
-        return _write(fmt, list(record), [list(record.values())], _key_values)
-    return _write(fmt, RESULT_HEADERS, _result_rows(results), _result_table)
-
-
 def _trace_rows(trace: SqrtTrace) -> list[list]:
     return [
         [s.place_kind, s.working_value, s.divisor_or_square,
@@ -232,7 +225,8 @@ def _cmd_sqrt(args) -> str:
     if args.format != "table" and not args.trace:
         raise UsageError(f"--format {args.format} requires --trace")
     if args.trace:
-        return render(isqrt_traced(args.n), args.format)
+        trace = isqrt_traced(args.n)
+        return _write(args.format, TRACE_HEADERS, _trace_rows(trace), lambda *_: _worksheet(trace))
     if args.frac_digits is not None:
         digits, limit = len(str(args.n)) + 2 * args.frac_digits, sys.get_int_max_str_digits()
         if args.n > 0 and 0 < limit < digits:  # the digit-pair root reads the radicand with str()
@@ -286,15 +280,15 @@ def _cmd_scan(args) -> str:
         raise UsageError("--final-mode applies only to --policy all")
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     results = scan_range(formula, args.diameter, policy, args.n_from, args.n_to)
-    return render(results, args.format)
+    return _write(args.format, RESULT_HEADERS, _result_rows(results), _result_table)
 
 
 def _cmd_fixed_point(args) -> str:
     formula = _make_formula(args.formula, args.correction)
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     _check_cap("--max-terms", args.max_terms)
-    report = fixed_point(formula, args.diameter, policy, args.window, args.max_terms)
-    return render(report, args.format)
+    record = fixed_point(formula, args.diameter, policy, args.window, args.max_terms).record()
+    return _write(args.format, list(record), [list(record.values())], _key_values)
 
 
 def _cmd_onset(args) -> str:
@@ -334,10 +328,6 @@ def _cmd_compare(args) -> str:
 # reference tables
 
 
-def _reproduce_varman_ledger() -> str:
-    return render(build_ledger(LEDGER_DIAMETER, FLOOR_EACH_OP), "table")
-
-
 def _reproduce_f3_fixed_points() -> str:
     rows = []
     for code in ("floor", "nearest", "final-nearest"):
@@ -348,7 +338,8 @@ def _reproduce_f3_fixed_points() -> str:
 
 
 _REPRODUCERS = {
-    "varman-ledger": _reproduce_varman_ledger,
+    "varman-ledger": lambda: _ledger_table(
+        LEDGER_HEADERS, _ledger_rows(build_ledger(LEDGER_DIAMETER, FLOOR_EACH_OP))),
     "table2": lambda: _scan_all(F1(), TABLE_DIAMETER, 18, 27, "final-floor"),
     "table3": lambda: _scan_all(F2(CorrectionId.C3), TABLE_DIAMETER, 35, 65, "final-floor"),
     "table-f4": lambda: _scan_all(F4(), TABLE_DIAMETER, 210, 250, "final-nearest"),

@@ -161,10 +161,6 @@ class ScaledValue:
             raise DomainError("error bound must be non-negative")
 
     @classmethod
-    def from_int(cls, n: int, scale: int) -> "ScaledValue":
-        return cls(n * 10**scale, scale)
-
-    @classmethod
     def from_ratio(cls, numer: int, denom: int, scale: int) -> "ScaledValue":
         """Truncate numer/denom to `scale` fractional digits.
 

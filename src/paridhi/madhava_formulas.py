@@ -11,8 +11,8 @@ are a range); denominator(k) is the one-position case.  Each formula's sums
 yields rows (n, m, c) under any arithmetic (series_engine's unit, split and
 sum_ratios): the partial sum m and a bound c on its error.  F2-F4 share
 _Formula.sums, whose first row sums the odd and the even positions in one
-bulk pass each and whose c counts the inexact divisions; F1's terms divide
-the policy's own root of 12D^2, and end once they are all zero.  One reader,
+bulk pass each and whose c counts the inexact divisions; F1 sums the terms
+of series_engine.root12_terms, the loop the varman ledger reads.  One reader,
 _Formula.values, rounds the rows of every formula: the per-operation
 policies' m is the value; ExactFinal rounds each m once, within c of the
 exact sum at the backend's digits.
@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Union
 
-from .exact_arith import DomainError, ScaledValue, round_enclosure
+from .exact_arith import DomainError, round_enclosure
 from .series_engine import (
     Arithmetic,
     EachOp,
@@ -36,6 +36,7 @@ from .series_engine import (
     ScaledBackend,
     TermValue,
     arithmetic,
+    root12_terms,
 )
 
 
@@ -94,7 +95,7 @@ class _Formula:
             if value is None:  # past the cap: the backend's own sum, exact (c = 0) or failing loudly
                 if backend != ScaledBackend(digits):  # else that sum is the (m, c) in hand
                     [(_, m, c)] = self.sums(top, backend, n, n)
-                value = policy.round(ScaledValue(m, digits, c) if c else m)
+                value = policy.round(backend.value(m, c))
             yield n, value
 
     def top(self, diameter: int, policy: Policy) -> int:  # what sums builds its terms from
@@ -132,7 +133,7 @@ class _Formula:
     def onset(self, diameter: int, policy: EachOp) -> int:
         """The smallest n whose term, rounded by the policy's own division, is zero."""
         numerator = self.factor * diameter
-        return _first(lambda n: policy.div(numerator, self.denominator(n)) == 0)
+        return _first(lambda n: policy.mode.div(numerator, self.denominator(n)) == 0)
 
     def settle_bound(self, diameter: int, policy: Policy) -> int:
         """The least n at which a windowed scan may accept its run."""
@@ -151,31 +152,21 @@ class F1(_Formula):
         return arithmetic(policy).root_units(12 * diameter * diameter)
 
     def sums(self, top: tuple[int, int, int], a: Arithmetic, n_from: int, n_to: int) -> Sums:
-        """Rows as in _Formula.sums, t_k = a.split(x, 3^(k-1) (2k - 1)) with x the root in units
-        of 1/a.unit: nested roundings by odd divisors compose, so t_k is the ledger's term.
-        Each term adds (r_k + e)/d_k to c, e the root's error.  From the first zero quotient
-        with 3^(k-1) > x on, each quotient is zero with the same r, and as each d_k is over 3
-        times the last, 3(r + e)/(2 d_k) bounds them all."""
-        root, error, unit = top
-        x, e = root * a.unit // unit, error * a.unit // unit
-        m = c = 0
-        for k in range(1, n_to + 1):
-            power = 3 ** (k - 1)
-            d = power * (2 * k - 1)
-            q, r = a.split(x, d)
-            if not q and power > x:  # every later row is this one
-                c += Fraction(3 * (r + e), 2 * d)
+        """Rows as in _Formula.sums of series_engine.root12_terms' t_k and its bound c; from
+        the first x_k = 0 on, every row is that one, so the rest cost no division."""
+        m = 0
+        for k, (x, t, c) in zip(range(1, n_to + 1), root12_terms(top, a)):
+            m = m + t if k % 2 else m - t
+            if not x:
                 yield from zip(range(max(k, n_from), n_to + 1), repeat(m), repeat(c))
                 return
-            m = m + q if k % 2 else m - q
-            c += Fraction(r + e, d)
             if k >= n_from:
                 yield k, m, c
 
     def onset(self, diameter: int, policy: EachOp) -> int:
         """The first k whose x_k, X/3^(k-1) rounded, is zero: the ledger's last row."""
         root = self.top(diameter, policy)[0]
-        return _first(lambda k: policy.div(root, 3 ** (k - 1)) == 0)
+        return _first(lambda k: policy.mode.div(root, 3 ** (k - 1)) == 0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +201,8 @@ class F2(_Formula):
 
         def vanished(n: int) -> bool:
             f = correction_fraction(self.correction, n)
-            corr = policy.div(4 * diameter * f.numerator, f.denominator)
-            return policy.div(4 * diameter, 2 * n - 1) == 0 == corr
+            corr = policy.mode.div(4 * diameter * f.numerator, f.denominator)
+            return policy.mode.div(4 * diameter, 2 * n - 1) == 0 == corr
 
         return _first(vanished)
 

@@ -32,6 +32,9 @@ class DecodeError(DomainError):
     """A token or word could not be decoded."""
 
 
+MAX_MAGNITUDE = 1000  # cap on a lexicon's E<k>: k sets a decode's time (the packaged top is E11)
+
+
 # Classical consonant table: ka..jha = 1..9, nya = 0; .ta..dha = 1..9,
 # na = 0; pa..ma = 1..5; ya..ha = 1..8.
 KATAPAYADI_VALUES: Mapping[str, int] = {
@@ -152,8 +155,8 @@ class BhutasamkhyaLexicon:
 def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
     """Load a word lexicon from a TSV file (default: the packaged one).
 
-    Each line is `word<TAB>digits` or `word<TAB>E<k>` for magnitude 10**k.
-    Blank lines and lines starting with '#' are skipped.
+    Each line is `word<TAB>digits` or `word<TAB>E<k>` for magnitude 10**k,
+    k at most MAX_MAGNITUDE.  Blank lines and lines starting with '#' are skipped.
     """
     if path is None:
         text = (
@@ -176,7 +179,11 @@ def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
             raise DecodeError(f"malformed lexicon line {lineno}: {line!r}") from None
         word = _nfc(word)
         if re.fullmatch(r"E[0-9]+", value):
-            magnitude_words[word] = int(value[1:])
+            magnitude = digits_to_int(value[1:])
+            if magnitude > MAX_MAGNITUDE:
+                raise DecodeError(f"magnitude {value} on lexicon line {lineno} is above "
+                                  f"E{MAX_MAGNITUDE}")
+            magnitude_words[word] = magnitude
         elif re.fullmatch(r"[0-9]+", value):
             digit_words[word] = value
         else:

@@ -1,10 +1,11 @@
-"""The root-12 alternating series ledger under three rounding policies.
+"""The root-12 alternating series under three rounding policies.
 
-The computation: seed x1 = sqrt(12 * diameter**2), then repeatedly divide
-by 3 to get x2, x3, ...; the k-th term is t_k = x_k / (2k - 1); odd- and
-even-position terms are summed separately and the circumference is their
-difference, C = O - E.  The ledger serves the varman command only: F1 in
-madhava_formulas sums the same terms through the formulas' reader.
+The computation: X = sqrt(12 * diameter**2), x_k = X / 3^(k-1) and the
+k-th term t_k = x_k / (2k - 1); odd- and even-position terms are summed
+separately and the circumference is their difference, C = O - E.  One
+loop, root12_terms, forms the terms; F1 in madhava_formulas sums them
+through the formulas' reader, and build_ledger tabulates them for the
+varman command.
 
 Three policies control how the inexact square root and divisions are
 handled:
@@ -12,21 +13,19 @@ handled:
 * EachOp(mode)  -- every operation rounds under mode: FLOOR_EACH_OP keeps
                    the integer part, NEAREST_EACH_OP rounds half-up,
 * ExactFinal    -- values stay exact until a single final rounding;
-                   backed either by exact rationals (seeded with the
-                   integer floor root) or by ScaledValue fixed-point
-                   (seeded with the root truncated to frac_digits
-                   decimal places).
+                   backed either by exact rationals (from the integer
+                   floor root) or by ScaledValue fixed-point (from the
+                   root truncated to frac_digits decimal places).
 
-Each EachOp and each ExactFinal backend carries its own arithmetic:
-seed(n) makes the exact integer n a value, root(radicand) is the ledger's
-seed root, div(x, d) divides a value by an integer and round rounds a value
-to an integer.  root_units(radicand) is that root as F1 reads it: (X, e,
-unit), X and its error bound e in units of 1/unit.  A formula reads its sums
-of quotients through unit (10**s on ScaledBackend(s), else 1), split(n, d)
--> (q, r), one quotient whose r is nonzero only where a truncating division
-was inexact, and sum_ratios(n, ds) -> (the sum of the q over ds in one bulk
-pass, how many were inexact; under EachOp, mode.sum_div, one floordiv map
-for a range such as F2's divisors).
+Each EachOp and each ExactFinal backend carries its own arithmetic.
+root_units(radicand) is the root of 12D^2: (X, e, unit), X and its error
+bound e in units of 1/unit.  Sums are read through unit (10**s on
+ScaledBackend(s), else 1), split(n, d) -> (q, r), one quotient whose r is
+nonzero only where a truncating division was inexact, and sum_ratios(n, ds)
+-> (the sum of the q over ds in one bulk pass, how many were inexact; under
+EachOp, mode.sum_div, one floordiv map for a range such as F2's divisors).
+value(m, e) makes a sum in units the policy's value (an int, a Fraction, or
+a ScaledValue within e ulps), and round rounds that value to an integer.
 arithmetic(policy) picks the object; policy.round(value) is round_final.
 """
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from math import gcd
 from typing import Iterable, Iterator, Union
 
@@ -47,19 +46,13 @@ class EachOp:
     """Integer values; the root and every division are rounded under mode."""
 
     mode: RoundingMode
-    seed = round = staticmethod(int)
+    round = staticmethod(int)
     unit = 1
 
-    def div(self, n: int, d: int) -> int:
-        return self.mode.div(n, d)
-
-    def root(self, radicand: int) -> int:
+    def root_units(self, radicand: int) -> tuple[int, int, int]:
         # rem/(2 root + 1) rounds to the carry: under floor 0 (rem <= 2 root), half-up rem > root
         root, rem = isqrt(radicand)
-        return root + self.mode.div(rem, 2 * root + 1)
-
-    def root_units(self, radicand: int) -> tuple[int, int, int]:
-        return self.root(radicand), 0, 1
+        return root + self.mode.div(rem, 2 * root + 1), 0, 1
 
     def split(self, n: int, d: int) -> tuple[int, int]:
         return self.mode.div(n, d), 0
@@ -67,21 +60,21 @@ class EachOp:
     def sum_ratios(self, n: int, ds: Iterable[int]) -> tuple[int, int]:
         return self.mode.sum_div(n, ds), 0
 
+    @staticmethod
+    def value(m: int, e: int = 0) -> int:
+        return m
+
     def __str__(self) -> str:
         return self.mode.value
 
 
 @dataclass(frozen=True)
 class RationalBackend:
-    """Exact fractions, seeded with the integer floor root."""
+    """Exact fractions, from the integer floor root."""
 
     frac_digits, max_digits = 40, 320  # the digits a formula's sums are read at, and their cap
-    seed = staticmethod(Fraction)
     round = staticmethod(ratio_round)
     unit = 1
-
-    def root(self, radicand: int) -> Fraction:
-        return Fraction(isqrt(radicand)[0])
 
     @staticmethod
     def root_units(radicand: int) -> tuple[int, int, int]:
@@ -107,8 +100,8 @@ class RationalBackend:
         return Fraction(n * p, q), 0
 
     @staticmethod
-    def div(x: Fraction, d: int) -> Fraction:
-        return x / d
+    def value(m: int | Fraction, e: int = 0) -> Fraction:
+        return m if type(m) is Fraction else Fraction(m)  # Fraction(m) would copy m
 
     def __str__(self) -> str:
         return "rational"
@@ -116,7 +109,7 @@ class RationalBackend:
 
 @dataclass(frozen=True)
 class ScaledBackend:
-    """ScaledValue fixed point, seeded with the root to frac_digits places."""
+    """ScaledValue fixed point, from the root truncated to frac_digits places."""
 
     frac_digits: int = 40
 
@@ -124,14 +117,8 @@ class ScaledBackend:
         if self.frac_digits < 0:
             raise DomainError("frac_digits must be non-negative")
 
-    def seed(self, n: int) -> ScaledValue:
-        return ScaledValue.from_int(n, self.frac_digits)
-
-    def root(self, radicand: int) -> ScaledValue:
-        return sqrt_scaled(radicand, self.frac_digits)
-
     def root_units(self, radicand: int) -> tuple[int, int, int]:
-        root = self.root(radicand)
+        root = sqrt_scaled(radicand, self.frac_digits)
         return root.mantissa, root.error_ulps, self.unit
 
     max_digits = property(lambda self: self.frac_digits)  # a fixed precision: never doubled
@@ -147,9 +134,8 @@ class ScaledBackend:
             inexact += r != 0
         return mantissa, inexact
 
-    @staticmethod
-    def div(x: ScaledValue, d: int) -> ScaledValue:
-        return x.div_int(d)
+    def value(self, m: int, e: int | Fraction = 0) -> ScaledValue:
+        return ScaledValue(m, self.frac_digits, e)
 
     @staticmethod
     def round(x: ScaledValue, mode: RoundingMode) -> int:
@@ -203,25 +189,36 @@ class SeriesLedger:
 
 
 def arithmetic(policy: Policy) -> Arithmetic:
-    """The object that seeds, divides and forms terms under the policy."""
+    """The object that forms, sums and rounds values under the policy."""
     return policy.backend if isinstance(policy, ExactFinal) else policy
 
 
-def ledger_rows(diameter: int, policy: Policy) -> Iterator[LedgerRow]:
-    """Yield the ledger's rows for k = 1, 2, ...
+Terms = Iterator[tuple[TermValue, TermValue, Union[int, Fraction]]]  # (x_k, t_k, c)
 
-    Integer policies stop after the first row with x = 0, as every later
-    term is zero; under ExactFinal x never reaches zero and the rows go on.
-    """
-    if diameter <= 0:
-        raise DomainError("diameter must be positive")
-    a = arithmetic(policy)
-    x = a.root(12 * diameter * diameter)
+
+def root12_terms(top: tuple[int, int, int], a: Arithmetic) -> Terms:
+    """Yield (x_k, t_k, c) for k = 1, 2, ...: x_k = a.split(X, 3^(k-1)) and
+    t_k = a.split(X, 3^(k-1) (2k - 1)), X the root (X, e, unit) = top in units of 1/a.unit,
+    and c bounds the error of t_1 - t_2 + ... ± t_k.  Nested roundings by odd divisors
+    compose, so these are X divided by 3 and by 2k - 1 one rounding at a time.  Each term
+    adds (r_k + e)/d_k to c, e the root's error.  From the first zero quotient with
+    3^(k-1) > X on, each quotient is zero with the same r, and as each d_k is over 3 times
+    the last, 3(r + e)/(2 d_k) bounds them all: that row's x_k may still be 1 under half-up,
+    and every later x_k and t_k is 0."""
+    root, error, unit = top
+    x, e, split = root * a.unit // unit, error * a.unit // unit, a.split
+    c, power = 0, 1
     for k in count(1):
-        yield LedgerRow(k, x, 1 if k % 2 else -1, a.div(x, 2 * k - 1))
-        if x == 0:
+        d = power * (2 * k - 1)
+        t, r = split(x, d)
+        tail = not t and power > x  # every later row is zeros with this row's c
+        if r or e:  # nothing to add under the integer policies and rational
+            c += Fraction(3 * (r + e), 2 * d) if tail else Fraction(r + e, d)
+        yield split(x, power)[0], t, c
+        if tail:
+            yield from repeat((t, t, c))
             return
-        x = a.div(x, 3)
+        power *= 3
 
 
 def build_ledger(
@@ -229,18 +226,32 @@ def build_ledger(
 ) -> SeriesLedger:
     """The first max_terms rows of the ledger, or all of them, with their sums.
 
-    ExactFinal has no natural stopping point, so max_terms is required and
-    exactly that many rows are produced.
+    Integer policies stop after the first row with x = 0, as every later
+    term is zero; ExactFinal has no natural stopping point, so max_terms is
+    required and exactly that many rows are produced.  On scaled each x_k
+    and t_k lies within (r + e)/d <= e = 1 ulp of its exact value, so each
+    row carries e, O and E carry e times their row counts, and the
+    circumference carries root12_terms' bound c: it is F1's sum and bound.
     """
     if max_terms is not None and max_terms < 1:
         raise DomainError("max_terms must be positive")
-    if isinstance(policy, ExactFinal) and max_terms is None:
+    exact = isinstance(policy, ExactFinal)
+    if exact and max_terms is None:
         raise DomainError("ExactFinal policy needs an explicit max_terms")
-    rows = tuple(islice(ledger_rows(diameter, policy), max_terms))
-    zero = arithmetic(policy).seed(0)
-    odd = sum((row.t for row in rows[::2]), zero)
-    even = sum((row.t for row in rows[1::2]), zero)
-    return SeriesLedger(diameter, policy, rows, odd, even, odd - even)
+    if diameter <= 0:
+        raise DomainError("diameter must be positive")
+    a = arithmetic(policy)
+    top = a.root_units(12 * diameter * diameter)
+    e, value, rows, sums = top[1], a.value, [], [0, 0]  # sums: odd, even positions
+    ks = range(1, max_terms + 1) if max_terms else count(1)
+    for k, (x, t, c) in zip(ks, root12_terms(top, a)):
+        rows.append(LedgerRow(k, value(x, e), 1 if k % 2 else -1, value(t, e)))
+        sums[k % 2 == 0] += t
+        if not (x or exact):
+            break
+    odd, even = sums
+    return SeriesLedger(diameter, policy, tuple(rows), value(odd, e * (k + 1 >> 1)),
+                        value(even, e * (k >> 1)), value(odd - even, c))
 
 
 def round_final(value: TermValue, policy: Policy) -> int:

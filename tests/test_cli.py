@@ -18,11 +18,8 @@ from paridhi.cli import (
     MAX_TERMS_CAP,
     POLICY_CHOICES,
     execute,
-    render,
 )
-from paridhi.madhava_formulas import F3, fixed_point, scan_range
 from paridhi.numerals import KATAPAYADI_VALUES, default_lexicon
-from paridhi.series_engine import FLOOR_EACH_OP, build_ledger
 
 GOLDEN = Path(__file__).parent / "golden"
 D17 = "100000000000000000"
@@ -92,6 +89,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "plain decimal integer required" in err
 
+    @pytest.mark.parametrize("text", ["9" * 4400, "-" + "9" * 10**5, "x" * 10**5])
+    def test_a_long_argument_is_not_echoed(self, text):
+        if text[-1] == "9" and not sys.get_int_max_str_digits():
+            pytest.skip("the interpreter has no int/str digit limit")
+        code, out, err = run("encode", text)
+        assert (code, out) == (2, "")
+        assert len(err) < 300
+        assert text[:20] in err
+
+    def test_a_magnitude_past_the_cap_is_1(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("eka\t1\nmaha\tE1001\n", encoding="utf-8")
+        code, out, err = run("decode", "--system", "bhutasamkhya", "--lexicon", str(path),
+                             "eka", "maha")
+        assert (code, out) == (1, "")
+        assert err == "error: magnitude E1001 on lexicon line 2 is above E1000\n"
+
     def test_unreadable_lexicon_is_1(self, tmp_path):
         binary = tmp_path / "binary.tsv"
         binary.write_bytes(b"\xff\xfe\x00word\t5\n")
@@ -105,7 +119,7 @@ class TestExitCodes:
         code, out, err = run("varman", "--diameter", D17, "--policy", "final-nearest",
                              "--terms", "38", "--frac-digits", "0")
         assert (code, out) == (1, "")
-        assert err.startswith("error: error bound ≤ 38 ulp at 0 fractional digits")
+        assert err.startswith("error: error bound ≤ 21 ulp at 0 fractional digits")
         assert "/" not in err
 
 
@@ -141,32 +155,40 @@ class TestVarman:
         st.integers(min_value=1, max_value=80),
     )
     @example(10**17, "floor", "scaled", 40, 80)  # the ledger ends at row 38
+    @example(10**17, "final-nearest", "scaled", 0, 38)  # "error bound ≤ 21 ulp" from both
+    @example(10**17, "final-nearest", "scaled", 2, 38)  # 314159265358979324 from both
     def test_c_is_f1s_circumference_of_its_rows(self, diameter, policy, backend, digits, terms):
+        # the same value, or the same error message where F1's bound leaves C undecided
         flags = ["--diameter", str(diameter), "--policy", policy, "--backend", backend,
                  "--frac-digits", str(digits)]
-        code, out, _ = run("varman", *flags, "--terms", str(terms))
-        if code:  # the ledger's bound left C undecided
+        code, out, err = run("varman", *flags, "--terms", str(terms))
+        f1 = run("circumference", "--formula", "f1", *flags, "--terms", str(terms))
+        if code:
+            assert (code, out, err) == f1
             return
         summary = dict(line.split(" = ") for line in out.splitlines())
-        assert run("circumference", "--formula", "f1", *flags, "--terms", summary["terms"]) == (
-            0, summary["C"] + "\n", "")
+        if summary["terms"] != str(terms):  # an integer ledger ended at its first x = 0
+            f1 = run("circumference", "--formula", "f1", *flags, "--terms", summary["terms"])
+        assert f1 == (0, summary["C"] + "\n", "")
 
 
 class TestRender:
     def test_ledger_first_row_layout(self):
-        ledger = build_ledger(10**17, FLOOR_EACH_OP)
-        text = render(ledger, "table")
+        code, text, _ = run("reproduce", "--table", "varman-ledger")
         lines = text.splitlines()
+        assert code == 0
         assert lines[1] == "1 | 346410161513775458 | (÷1) | + | 346410161513775458"
         assert len(lines) == 39  # header + 38 rows
 
     def test_empty_csv_has_header_only(self):
-        assert render([], "csv") == "formula,correction,diameter,n,policy,circumference\n"
+        text = cli._write("csv", cli.RESULT_HEADERS, [], cli._result_table)
+        assert text == "formula,correction,diameter,n,policy,circumference\n"
 
     def test_csv_json_value_identity(self):
-        results = scan_range(F3(), 9 * 10**11, FLOOR_EACH_OP, 5, 9)
-        csv_text = render(results, "csv")
-        json_text = render(results, "json")
+        argv = ["scan", "--formula", "f3", "--diameter", D12, "--from", "5", "--to", "9",
+                "--policy", "floor", "--format"]
+        _, csv_text, _ = run(*argv, "csv")
+        _, json_text, _ = run(*argv, "json")
         csv_rows = list(csv.DictReader(io.StringIO(csv_text)))
         json_rows = json.loads(json_text)
         assert len(csv_rows) == len(json_rows) == 5
@@ -198,16 +220,21 @@ class TestRender:
         assert csv_rows and csv_rows == json_rows
 
     def test_empty_results_in_every_format(self):
-        assert render([], "table") == ""
-        assert render([], "csv") == "formula,correction,diameter,n,policy,circumference\n"
-        assert render([], "json") == "[]\n"
+        def write(fmt):
+            return cli._write(fmt, cli.RESULT_HEADERS, [], cli._result_table)
+
+        assert write("table") == ""
+        assert write("csv") == "formula,correction,diameter,n,policy,circumference\n"
+        assert write("json") == "[]\n"
 
     def test_report_render(self):
-        report = fixed_point(F3(), 9 * 10**11, FLOOR_EACH_OP, max_terms=10**4)
-        table = render(report, "table")
+        argv = ["fixed-point", "--formula", "f3", "--diameter", D12, "--policy", "floor",
+                "--max-terms", "10000", "--format"]
+        code, table, _ = run(*argv, "table")
+        assert code == 0
         assert "fixed_value = 2827433388211" in table
         assert "onset = 7663" in table
-        record = json.loads(render(report, "json"))[0]
+        record = json.loads(run(*argv, "json")[1])[0]
         assert record["fixed_value"] == 2827433388211
         assert record["method"] == "analytic-vanish"
 

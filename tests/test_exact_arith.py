@@ -208,8 +208,8 @@ class TestScaledValue:
             v.round_checked(NEAREST)
 
     def test_alignment_is_exact(self):
-        a = ScaledValue.from_int(1, 2)
-        b = ScaledValue.from_int(2, 5)
+        a = ScaledValue(100, 2)
+        b = ScaledValue(200000, 5)
         assert (a + b).as_fraction() == 3
 
     def test_negative_scale_rejected(self):
@@ -236,7 +236,7 @@ steps = st.lists(
 def _leaf(kind, n, d, scale):
     """A ScaledValue leaf, its error bound as a Fraction, and its exact value."""
     if kind == "int":
-        return ScaledValue.from_int(n, scale), Fraction(0), Fraction(n)
+        return ScaledValue(n * 10**scale, scale), Fraction(0), Fraction(n)
     bound = Fraction(1 if n * 10**scale % d else 0, 10**scale)
     return ScaledValue.from_ratio(n, d, scale), bound, Fraction(n, d)
 

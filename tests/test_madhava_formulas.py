@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import islice, repeat
 
+import ledger_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,6 @@ from paridhi.series_engine import (
     RationalBackend,
     ScaledBackend,
     arithmetic,
-    ledger_rows,
 )
 
 D = 9 * 10**11
@@ -530,13 +530,13 @@ def _row_by_row(formula, diameter, policy, n):
         def ratio(p, q):
             return ScaledValue.from_ratio(p, q, a.frac_digits)
     else:
-        ratio = Fraction if isinstance(a, RationalBackend) else policy.div
+        ratio = Fraction if isinstance(a, RationalBackend) else policy.mode.div
     if isinstance(formula, F1):
-        terms = [row.t for row in islice(ledger_rows(diameter, policy), n)]
+        terms = [row.t for row in islice(ledger_oracle.rows(diameter, policy), n)]
     else:
         d = (lambda k: 2 * k - 1) if isinstance(formula, F2) else formula.denominator
         terms = [ratio(formula.factor * diameter, d(k)) for k in range(1, n + 1)]
-    total = a.seed(formula.leading * diameter)
+    total = a.value(formula.leading * diameter * a.unit)
     for k, t in enumerate(terms, 1):
         total = total + t if k % 2 else total - t
     if isinstance(formula, F2):
@@ -547,11 +547,11 @@ def _row_by_row(formula, diameter, policy, n):
 
 
 def _ledger_outcomes(diameter, policy, n):
-    """F1's circumference of each n' in 1..n from the ledger's rows summed one at a time, or
-    the message of the RoundingUndecidableError it raises; past an integer ledger's last row
-    the sum repeats."""
-    total, outcomes = arithmetic(policy).seed(0), []
-    for row in islice(ledger_rows(diameter, policy), n):
+    """F1's circumference of each n' in 1..n from the typed chain's rows summed one at a time,
+    or the message of the RoundingUndecidableError it raises; past an integer ledger's last
+    row the sum repeats."""
+    total, outcomes = arithmetic(policy).value(0), []
+    for row in islice(ledger_oracle.rows(diameter, policy), n):
         total = total + row.t if row.k % 2 else total - row.t
         outcomes.append(_outcome(lambda: policy.round(total)))
     return outcomes + outcomes[-1:] * (n - len(outcomes))
@@ -677,7 +677,7 @@ class TestBulkSums:
 
     def test_f1_analytic_fixed_point_walks_no_ledger(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(series_engine, "ledger_rows", _spy(series_engine.ledger_rows, calls))
+        monkeypatch.setattr(series_engine, "build_ledger", _spy(series_engine.build_ledger, calls))
         report = fixed_point(F1(), 10**17, FLOOR_EACH_OP, max_terms=100)
         assert report.record() == {
             "formula": "f1", "correction": "", "diameter": 10**17, "policy": "floor",

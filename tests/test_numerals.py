@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from paridhi.numerals import (
     KATAPAYADI_VALUES,
+    MAX_MAGNITUDE,
     DecodeError,
     SyllableToken,
     decode_bhutasamkhya,
@@ -218,6 +219,17 @@ class TestBhutasamkhya:
         path = tmp_path / "bad.tsv"
         path.write_text("word-without-tab\n", encoding="utf-8")
         with pytest.raises(DecodeError):
+            load_lexicon(path)
+
+    def test_magnitude_cap(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"eka\t1\nmaha\tE{MAX_MAGNITUDE}\n", encoding="utf-8")
+        assert decode_bhutasamkhya(["eka", "maha"], load_lexicon(path)) == 10**MAX_MAGNITUDE
+        path.write_text(f"eka\t1\nmaha\tE{MAX_MAGNITUDE + 1}\n", encoding="utf-8")
+        with pytest.raises(DecodeError, match=f"magnitude E{MAX_MAGNITUDE + 1} on lexicon line 2"):
+            load_lexicon(path)
+        path.write_text("maha\tE" + "9" * 5000 + "\n", encoding="utf-8")  # past the int/str limit
+        with pytest.raises(DecodeError, match="on lexicon line 1 is above"):
             load_lexicon(path)
 
     @pytest.mark.parametrize("value", ["Ex", "E-3", "E+6", "E", "\u00b2"])

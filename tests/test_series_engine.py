@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
+import ledger_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paridhi.exact_arith import DomainError, RoundingMode
+from paridhi.exact_arith import DomainError, RoundingMode, RoundingUndecidableError, ScaledValue
 from paridhi.series_engine import (
     FLOOR_EACH_OP,
     NEAREST_EACH_OP,
@@ -15,7 +15,6 @@ from paridhi.series_engine import (
     RationalBackend,
     ScaledBackend,
     build_ledger,
-    ledger_rows,
     varman_circumference,
 )
 
@@ -87,6 +86,11 @@ class TestExactFinal:
         policy = ExactFinal(NEAREST, ScaledBackend(40))
         assert varman_circumference(D17, policy, 38) == 314159265358979324
 
+    def test_scaled_nearest_at_two_digits(self):
+        # F1's bound decides this row; the typed chain's bound of 39 ulp did not
+        policy = ExactFinal(NEAREST, ScaledBackend(2))
+        assert varman_circumference(D17, policy, 38) == 314159265358979324
+
     def test_rational_floor(self):
         policy = ExactFinal(FLOOR, RationalBackend())
         assert varman_circumference(D17, policy, 38) == 314159265358979323
@@ -131,8 +135,8 @@ class TestEachOp:
     @example(5 * 10**4299)  # 4300 digits: 4 * radicand would pass the str limit of isqrt
     def test_root_matches_math_isqrt(self, radicand):
         r0 = math.isqrt(radicand)
-        assert EachOp(FLOOR).root(radicand) == r0
-        assert EachOp(NEAREST).root(radicand) == r0 + (radicand - r0 * r0 > r0)
+        assert EachOp(FLOOR).root_units(radicand) == (r0, 0, 1)
+        assert EachOp(NEAREST).root_units(radicand) == (r0 + (radicand - r0 * r0 > r0), 0, 1)
 
 
 def test_diameter_must_be_positive():
@@ -143,9 +147,9 @@ def test_diameter_must_be_positive():
 @pytest.mark.parametrize("policy", [ExactFinal(FLOOR, RationalBackend()), ExactFinal(FLOOR, ScaledBackend(40))])
 def test_exact_rows_go_on_past_the_integer_ledger(policy):
     # the floor ledger of 10**17 ends at row 38; the exact one does not end
-    rows = list(islice(ledger_rows(D17, policy), 60))
+    rows = build_ledger(D17, policy, 60).rows
     assert [row.k for row in rows] == list(range(1, 61))
-    assert rows[:38] == list(build_ledger(D17, policy, 38).rows)
+    assert rows[:38] == build_ledger(D17, policy, 38).rows
     assert all(row.x != 0 for row in rows)
 
 
@@ -188,3 +192,64 @@ def test_alternating_bracketing(diameter, terms):
             assert partial > full
         else:
             assert partial < full
+
+
+EVERY_POLICY = [FLOOR_EACH_OP, NEAREST_EACH_OP] + [
+    ExactFinal(mode, backend)
+    for mode in (FLOOR, NEAREST)
+    for backend in (RationalBackend(), *map(ScaledBackend, (0, 1, 2, 3, 6, 40)))
+]
+
+
+def _plain(value):
+    """A ScaledValue's mantissa; an int or a Fraction as it is."""
+    return value.mantissa if isinstance(value, ScaledValue) else value
+
+
+def _table(rows, *sums):
+    return [(r.k, _plain(r.x), r.sign, _plain(r.t)) for r in rows], [_plain(v) for v in sums]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(EVERY_POLICY),
+    st.integers(min_value=1, max_value=10**18),
+    st.integers(min_value=1, max_value=300),
+)
+@example(ExactFinal(NEAREST, ScaledBackend(2)), D17, 38)
+@example(NEAREST_EACH_OP, D17, 300)
+def test_ledger_matches_the_typed_chain(policy, diameter, n):
+    ledger = build_ledger(diameter, policy, n)
+    rows, odd, even, circumference = ledger_oracle.ledger(diameter, policy, n)
+    assert _table(ledger.rows, ledger.odd_sum, ledger.even_sum, ledger.circumference) == (
+        _table(rows, odd, even, circumference))
+    values = [ledger.odd_sum, ledger.even_sum, ledger.circumference]
+    assert {type(v) for v in values} == {type(circumference)}
+    try:
+        want = policy.round(circumference)
+    except RoundingUndecidableError:
+        return  # the chain's bound is wider than F1's: it may leave a row undecided
+    assert policy.round(ledger.circumference) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, 3, 6, 40]),
+    st.integers(min_value=1, max_value=10**18),
+    st.integers(min_value=1, max_value=120),
+)
+def test_scaled_ledger_encloses_the_true_values(digits, diameter, n):
+    # sqrt(12 D^2) lies in [root, root + 1] / 10**t; every row and sum must hold those ends
+    t = digits + 30
+    root = math.isqrt(12 * diameter**2 * 100**t)
+    ledger = build_ledger(diameter, ExactFinal(FLOOR, ScaledBackend(digits)), n)
+    signed = [Fraction(row.sign, 3 ** (row.k - 1) * (2 * row.k - 1)) for row in ledger.rows]
+    odd = sum(s for s in signed if s > 0)
+    even = -sum(s for s in signed if s < 0)
+    checks = [(row.x, Fraction(1, 3 ** (row.k - 1))) for row in ledger.rows]
+    checks += [(row.t, abs(s)) for row, s in zip(ledger.rows, signed)]
+    checks += [(ledger.odd_sum, odd), (ledger.even_sum, even), (ledger.circumference, odd - even)]
+    for value, factor in checks:
+        lo, hi = sorted(Fraction(r, 10**t) * factor for r in (root, root + 1))
+        assert value.as_fraction() - value.error_bound <= lo
+        assert hi <= value.as_fraction() + value.error_bound
