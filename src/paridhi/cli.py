@@ -52,6 +52,7 @@ TABLE_DIAMETER = 9 * 10**11
 LEDGER_DIAMETER = 10**17
 MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # caps on `scan` rows; `--terms`, `--max-terms`, `--to`
 MAX_FRAC_DIGITS = 1000  # cap on a series' --frac-digits: each term's work grows with the digits
+MAX_RATIONAL_LEDGER_TERMS = 4000  # cap on exact `varman` rows: its Fraction sums grow quadratically
 
 
 class UsageError(Exception):
@@ -149,7 +150,7 @@ def _ledger_table(headers: list[str], rows: list[list]) -> str:
 
 
 def _result_rows(results) -> list[list]:
-    return [[record[h] for h in RESULT_HEADERS] for record in (r.record() for r in results)]
+    return [list(r.record().values()) for r in results]  # keyed as RESULT_HEADERS
 
 
 def _result_table(headers: list[str], rows: list[list]) -> str:
@@ -243,6 +244,9 @@ def _cmd_sqrt(args) -> str:
 def _cmd_varman(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     _check_cap("--terms", args.terms)
+    if args.backend == "rational" and args.policy.startswith("final"):
+        _check_cap("--terms under a final policy on the rational backend", args.terms,
+                   MAX_RATIONAL_LEDGER_TERMS)
     ledger = build_ledger(args.diameter, policy, args.terms)
     summary = (
         f"terms = {len(ledger.rows)}\n"
@@ -462,6 +466,11 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
         return 2, "", f"error: {exc}\n"
     except (DomainError, NoConvergenceError) as exc:
         return 1, "", f"error: {exc}\n"
+    except ValueError as exc:  # an int read or printed through str() past the interpreter's limit
+        if "integer string conversion" not in str(exc):
+            raise
+        return 1, "", (f"error: a number here has more digits than the interpreter's int/str "
+                       f"limit of {sys.get_int_max_str_digits()}\n")
 
 
 def main(argv: list[str] | None = None) -> int:

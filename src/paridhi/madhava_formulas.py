@@ -14,14 +14,14 @@ _Formula.sums, whose first row sums the odd and the even positions in one
 bulk pass each and whose c counts the inexact divisions; F1 sums the terms
 of series_engine.root12_terms, the loop the varman ledger reads.  One reader,
 _Formula.values, rounds the rows of every formula: the per-operation
-policies' m is the value; ExactFinal rounds each m once, within c of the
-exact sum at the backend's digits.
+policies' m is the value; ExactFinal rounds each m, read once at the
+backend's digits within c of the exact sum, or else the backend's own sum.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
@@ -85,15 +85,12 @@ class _Formula:
             yield from ((n, m) for n, m, _ in self.sums(top, policy, n_from, n_to))
             return
         backend, mode = policy.backend, policy.final_mode
-        unit = 10**backend.frac_digits
-        for n, m, c in self.sums(top, ScaledBackend(backend.frac_digits), n_from, n_to):
-            value, digits = round_enclosure(m, c, unit, mode), backend.frac_digits
-            while value is None and digits < backend.max_digits:  # undecided: double them (Ziv)
-                digits *= 2
-                [(_, m, c)] = self.sums(top, ScaledBackend(digits), n, n)
-                value = round_enclosure(m, c, 10**digits, mode)
-            if value is None:  # past the cap: the backend's own sum, exact (c = 0) or failing loudly
-                if backend != ScaledBackend(digits):  # else that sum is the (m, c) in hand
+        reader = ScaledBackend(backend.frac_digits)
+        unit = reader.unit
+        for n, m, c in self.sums(top, reader, n_from, n_to):
+            value = round_enclosure(m, c, unit, mode)
+            if value is None:  # undecided: the backend's own sum, exact (c = 0) or failing loudly
+                if backend != reader:  # else that sum is the (m, c) in hand
                     [(_, m, c)] = self.sums(top, backend, n, n)
                 value = policy.round(backend.value(m, c))
             yield n, value
@@ -134,10 +131,6 @@ class _Formula:
         """The smallest n whose term, rounded by the policy's own division, is zero."""
         numerator = self.factor * diameter
         return _first(lambda n: policy.mode.div(numerator, self.denominator(n)) == 0)
-
-    def settle_bound(self, diameter: int, policy: Policy) -> int:
-        """The least n at which a windowed scan may accept its run."""
-        return 1
 
 
 @dataclass(frozen=True)
@@ -194,10 +187,8 @@ class F2(_Formula):
     def analytic_fixed_point(self, diameter: int, policy: Policy, max_terms: int) -> None:
         return None  # the rounded terms vanish only past n = 2D (floor) or 4D (nearest)
 
-    def settle_bound(self, diameter: int, policy: Policy) -> int:
-        """Under an integer policy, the first n from which every term and correction is zero."""
-        if isinstance(policy, ExactFinal):
-            return 1
+    def onset(self, diameter: int, policy: EachOp) -> int:
+        """The first n from which every term and correction, rounded by the policy, is zero."""
 
         def vanished(n: int) -> bool:
             f = correction_fraction(self.correction, n)
@@ -244,9 +235,9 @@ class _Record:
     def record(self) -> dict:
         """CSV/JSON record: the formula's codes, then the other fields, non-integers as text."""
         record = {"formula": self.formula.code, "correction": self.formula.correction_code}
-        for field in fields(self)[1:]:
-            value = getattr(self, field.name)
-            record[field.name] = value if isinstance(value, int) else str(value)
+        for name in self.__match_args__[1:]:  # the dataclass's field names, listed once per class
+            value = getattr(self, name)
+            record[name] = value if isinstance(value, int) else str(value)
         return record
 
 
@@ -353,9 +344,9 @@ def fixed_point(
     Integer policies on F1/F3/F4 use the analytic vanish onset: every term
     from the onset on rounds to zero, so the partial sums are provably
     constant.  All other combinations scan for `window` consecutive equal
-    values, accepting no run before the formula's settle_bound, and report
-    the start of the run.  If no run appears within max_terms, or the onset
-    or the bound lies past it, NoConvergenceError is raised.
+    values, F2's integer ones from its onset on, and report the start of
+    the run.  If no run appears within max_terms, or an onset lies past it,
+    NoConvergenceError is raised.
     """
     if window < 1:
         raise DomainError("window must be positive")
@@ -369,7 +360,7 @@ def fixed_point(
         return ConvergenceReport(
             formula, diameter, policy, value, onset, AnalyticVanish(), onset
         )
-    bound = _within(max_terms, formula.settle_bound(diameter, policy), "term and correction")
+    bound = _within(max_terms, formula.onset(diameter, policy), "term and correction") if integer else 1
     run_start = None
     prev = None
     for n, value in formula.values(diameter, policy, 1, max_terms):

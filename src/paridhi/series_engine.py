@@ -14,8 +14,8 @@ handled:
                    the integer part, NEAREST_EACH_OP rounds half-up,
 * ExactFinal    -- values stay exact until a single final rounding;
                    backed either by exact rationals (from the integer
-                   floor root) or by ScaledValue fixed-point (from the
-                   root truncated to frac_digits decimal places).
+                   floor root, first read at frac_digits = 40) or by
+                   ScaledValue fixed point (root cut to frac_digits).
 
 Each EachOp and each ExactFinal backend carries its own arithmetic.
 root_units(radicand) is the root of 12D^2: (X, e, unit), X and its error
@@ -72,7 +72,7 @@ class EachOp:
 class RationalBackend:
     """Exact fractions, from the integer floor root."""
 
-    frac_digits, max_digits = 40, 320  # the digits a formula's sums are read at, and their cap
+    frac_digits = 40  # the digits a formula's sums are read at before the exact sum
     round = staticmethod(ratio_round)
     unit = 1
 
@@ -121,7 +121,6 @@ class ScaledBackend:
         root = sqrt_scaled(radicand, self.frac_digits)
         return root.mantissa, root.error_ulps, self.unit
 
-    max_digits = property(lambda self: self.frac_digits)  # a fixed precision: never doubled
     unit = property(lambda self: 10**self.frac_digits)
     split = staticmethod(divmod)
 

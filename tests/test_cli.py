@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 from paridhi import cli
 from paridhi.cli import (
     MAX_FRAC_DIGITS,
+    MAX_RATIONAL_LEDGER_TERMS,
     MAX_SCAN_ROWS,
     MAX_TERMS_CAP,
     POLICY_CHOICES,
     execute,
 )
+from paridhi.madhava_formulas import F2, CorrectionId, circumference
 from paridhi.numerals import KATAPAYADI_VALUES, default_lexicon
+from paridhi.series_engine import ExactFinal
 
 GOLDEN = Path(__file__).parent / "golden"
 D17 = "100000000000000000"
@@ -219,6 +222,11 @@ class TestRender:
         json_rows = [{k: str(v) for k, v in rec.items()} for rec in json.loads(json_text)]
         assert csv_rows and csv_rows == json_rows
 
+    def test_a_record_is_keyed_as_the_result_headers(self):
+        # _result_rows takes a record's values in order, so its keys are the headers
+        result = circumference(F2(CorrectionId.C1), 7, 3, ExactFinal())
+        assert list(result.record()) == cli.RESULT_HEADERS
+
     def test_empty_results_in_every_format(self):
         def write(fmt):
             return cli._write(fmt, cli.RESULT_HEADERS, [], cli._result_table)
@@ -335,6 +343,25 @@ class TestDecodePastTheStrLimit:
             groups.append(group)
         code, out, err = run("decode", "--system", "bhutasamkhya", *words)
         assert (code, out, err) == (0, self.expected(groups) + "\n", "")
+
+
+class TestPastTheStrLimit:
+    """A value that reaches str() past the interpreter's int/str limit is a domain error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["varman", "--diameter", "9" * 2200, "--policy", "floor"],  # 12 D^2 in the digit pairs
+        ["circumference", "--formula", "f1", "--diameter", "9" * 2200, "--terms", "3",
+         "--policy", "floor"],
+        ["circumference", "--formula", "f3", "--diameter", "9" * 4300, "--terms", "3",
+         "--policy", "floor"],  # printing 3D
+        ["scan", "--formula", "f3", "--diameter", "9" * 4300, "--from", "1", "--to", "2",
+         "--policy", "floor", "--format", "json"],
+    ])
+    def test_is_1_without_a_traceback(self, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(*argv)
+        assert (code, out, err) == (1, "", "error: a number here has more digits than the "
+                                           f"interpreter's int/str limit of {limit}\n")
 
 
 class TestSqrtCommand:
@@ -598,6 +625,23 @@ class TestCaps:
         code, out, err = run(*argv, "--policy", "final-nearest", "--backend", backend,
                              "--frac-digits", str(MAX_FRAC_DIGITS))
         assert (code, err) == (0, "")
+
+    def test_rational_varman_terms_above_its_cap_is_refused(self):
+        # its rows and sums are exact Fractions, so its time grows quadratically in the rows
+        start = time.perf_counter()
+        for policy in ("final-floor", "final-nearest"):
+            code, out, err = run("varman", "--diameter", D17, "--policy", policy, "--backend",
+                                 "rational", "--terms", str(MAX_RATIONAL_LEDGER_TERMS + 1))
+            assert (code, out) == (1, "")
+            assert err == ("error: --terms under a final policy on the rational backend is at "
+                           f"most {MAX_RATIONAL_LEDGER_TERMS}\n")
+        assert time.perf_counter() - start < 0.2
+
+    def test_rational_varman_terms_at_its_cap_is_accepted(self):
+        code, out, _ = run("varman", "--diameter", D17, "--policy", "final-nearest", "--backend",
+                           "rational", "--terms", str(MAX_RATIONAL_LEDGER_TERMS))
+        assert code == 0
+        assert out.startswith(f"terms = {MAX_RATIONAL_LEDGER_TERMS}\n")
 
     def test_f1_at_the_terms_cap_is_quick(self):
         start = time.perf_counter()

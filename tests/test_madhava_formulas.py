@@ -290,8 +290,7 @@ class TestFixedPoint:
     @pytest.mark.parametrize("policy,bound", [(FLOOR_EACH_OP, 2001), (NEAREST_EACH_OP, 4001)])
     def test_f2_settle_bound(self, correction, policy, bound):
         # the terms 4D/(2n-1) are the last to vanish: from 2n-1 > 4D (floor) or > 8D (nearest)
-        assert F2(correction).settle_bound(1000, policy) == bound
-        assert F2(correction).settle_bound(1000, FINAL_NEAREST) == 1
+        assert F2(correction).onset(1000, policy) == bound
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,6 +310,7 @@ class TestFixedPoint:
             if Fraction(4 * diameter, 2 * n - 1) < small
             and 4 * diameter * correction_fraction(correction, n) < small
         )
+        assert F2(correction).onset(diameter, policy) == bound
         values = [r.circumference for r in scan_range(
             F2(correction), diameter, policy, 1, bound + window
         )]
@@ -729,10 +729,9 @@ ROUNDED_FORMULAS = [*(F2(c) for c in CorrectionId), F3(), F4()]  # the (m, c) re
 
 
 class _NarrowRational(RationalBackend):
-    """The rational backend reading its sums at 1 digit, so that roundings escalate often."""
+    """The rational backend reading its sums at 1 digit, so that most rows reach the exact sum."""
 
     frac_digits = 1
-    max_digits = 8
 
 
 # rational; scaled at 0-6 digits, where undecidable roundings occur, and at 40
@@ -858,7 +857,7 @@ class TestIntegerState:
     @pytest.mark.parametrize("formula,diameter,n,mode", TIES)
     def test_ties_reach_the_exact_rung(self, formula, diameter, n, mode, monkeypatch):
         assert _boundary_distance(_exact(formula, diameter, n), mode) == 0
-        for digits in (40, RationalBackend.max_digits):  # no precision decides a tie
+        for digits in (40, 320):  # no precision decides a tie
             with pytest.raises(RoundingUndecidableError):
                 circumference(formula, diameter, n, ExactFinal(mode, ScaledBackend(digits)))
         exact_heads = []
@@ -876,15 +875,18 @@ class TestIntegerState:
             circumference(F2C3, D, 30, ExactFinal(NEAREST, ScaledBackend(0)))
         assert [arithmetic for _, _, arithmetic, _, _ in reads] == [ScaledBackend(0)]
 
-    def test_a_rung_below_the_cap_settles_a_near_tie(self, monkeypatch):
+    def test_a_row_is_read_once_then_summed_exactly(self, monkeypatch):
         one_digit = ExactFinal(NEAREST, ScaledBackend(1))
         undecided = [n for n in range(1, 41) if isinstance(
             _outcome(lambda: circumference(F3(), 1, n, one_digit).circumference), str)]
         assert len(undecided) > 10
-        # doubling the digits decides every one of them before the exact rung
-        monkeypatch.setattr(RationalBackend, "sum_ratios", None)
-        rows = scan_range(F3(), 1, ExactFinal(NEAREST, _NarrowRational()), 1, 40)
+        # one read of every row at 1 digit, then the exact sum of each row it leaves undecided
+        reads, narrow = [], _NarrowRational()
+        monkeypatch.setattr(F3, "sums", _spy(F3.sums, reads))
+        rows = scan_range(F3(), 1, ExactFinal(NEAREST, narrow), 1, 40)
         assert [r.circumference for r in rows] == _oracle(F3(), 1, 40, NEAREST, round_each=False)
+        assert [args[2:] for args in reads] == [
+            (ScaledBackend(1), 1, 40), *((narrow, n, n) for n in undecided)]
 
     @pytest.mark.parametrize("backend", [RationalBackend(), ScaledBackend(40)])
     def test_rows_build_no_scaled_value_or_fraction(self, backend, monkeypatch):
