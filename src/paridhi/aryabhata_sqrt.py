@@ -6,9 +6,10 @@ root accumulated so far, and "odd places", where the square of the newest
 root digit is subtracted.  Each quotient digit is the largest one whose
 odd-place subtraction stays non-negative.
 
-One step generator, ``_steps``, runs the method pair-at-a-time.  ``isqrt``
-keeps only its last step; ``isqrt_traced`` records every place-by-place
-step so the computation can be rendered as a worksheet.
+One step generator, ``_steps``, runs the method pair-at-a-time.
+``isqrt_traced`` records each of its steps, one pair per step, so the
+computation can be rendered as a worksheet; ``isqrt`` takes it over a
+head and then steps g = 8 pairs at a time (see ``isqrt``).
 """
 
 from __future__ import annotations
@@ -50,23 +51,32 @@ class SqrtTrace:
         )
 
 
-def _steps(n: int):
-    """Yield (w, root, q) for each decimal digit pair of n, left to right.
+_G = 8  # digit pairs per long-division step of isqrt past its head
+_B = 10**_G
+
+
+def _digits(n: int) -> bytes:
+    """The decimal digits of n, with a leading zero if their count is odd."""
+    if n < 0:
+        raise DomainError("square root of a negative integer")
+    digits = str(n).encode()
+    return b"0" + digits if len(digits) % 2 else digits
+
+
+def _steps(digits: bytes, stop: int):
+    """Yield (w, root, q) for each decimal digit pair of digits[:stop], left to right.
 
     w is 100 * (remainder so far) + the pair, root is the root so far and q
     is the largest digit with q * (20 * root + q) <= w.
     """
-    if n < 0:
-        raise DomainError("square root of a negative integer")
-    digits = str(n).encode()
-    if len(digits) % 2:
-        digits = b"0" + digits
     rem = root = 0
-    for i in range(0, len(digits), 2):
+    for i in range(0, stop, 2):
         w = 100 * rem + 10 * digits[i] + digits[i + 1] - 528  # 528 = 11 * ord("0")
         divisor = 20 * root
         # A digit q >= 1 with q * (divisor + q) <= w has q <= w // (divisor + 1).
-        q = min(w // (divisor + 1), 9)
+        q = w // (divisor + 1)
+        if q > 9:
+            q = 9
         while q * (divisor + q) > w:
             q -= 1
         yield w, root, q
@@ -77,12 +87,33 @@ def _steps(n: int):
 def isqrt(n: int) -> tuple[int, int]:
     """(root, remainder) with root = floor(sqrt(n)) and remainder = n - root**2.
 
-    Implemented by the digit-pair schoolbook method, processing decimal
-    digit pairs left to right.
+    ``_steps`` takes the head pair by pair: all of a radicand of at most 4g
+    digits, else the first 2g+1 + (len - 2g - 1) mod 2g, so root >= B = 10**g
+    after it.  Each later group of 2g digits is one step in radix B:
+    w = B**2 * rem + group, and q is the largest with q * (2*B*root + q) <= w.
+    The estimate w // (2*B*root + 1) exceeds q by at most one: rem <= 2*root
+    gives w < B * (2*B*root + B), so q < B, and w < (q + 1) * (2*B*root + q + 1)
+    gives w / (2*B*root + 1) < q + 1 + q*(q + 1) / (2*B*root + 1) < q + 1.5,
+    as root >= B.  (A head of 2g digits only gives root >= 0.31*B, and there
+    the estimate can exceed q by two.)
     """
-    for w, root, q in _steps(n):
+    digits = _digits(n)
+    i = len(digits)  # the head's length, then where the next group starts
+    if i > 4 * _G:  # counted with _digits' leading zero, which keeps the split
+        i = 2 * _G + 2 + (i - 2 * _G - 2) % (2 * _G)
+    for w, root, q in _steps(digits, i):
         pass
-    return 10 * root + q, w - q * (20 * root + q)
+    root, rem = 10 * root + q, w - q * (20 * root + q)
+    while i < len(digits):
+        w = _B * _B * rem + int(digits[i : i + 2 * _G])
+        divisor = 2 * _B * root
+        q = w // (divisor + 1)
+        while q * (divisor + q) > w:
+            q -= 1
+        rem = w - q * (divisor + q)
+        root = _B * root + q
+        i += 2 * _G
+    return root, rem
 
 
 def isqrt_nearest(n: int) -> int:
@@ -94,7 +125,8 @@ def isqrt_nearest(n: int) -> int:
 def isqrt_traced(n: int) -> SqrtTrace:
     """Digit-pair square root with a full place-by-place step trace."""
     steps = []
-    for w, root, q in _steps(n):
+    digits = _digits(n)
+    for w, root, q in _steps(digits, len(digits)):
         if not steps:  # the leading pair
             steps.append(SqrtStep("odd", w, q * q, q, q * q))
             continue

@@ -346,7 +346,8 @@ def fixed_point(
     constant.  All other combinations scan for `window` consecutive equal
     values, F2's integer ones from its onset on, and report the start of
     the run.  If no run appears within max_terms, or an onset lies past it,
-    NoConvergenceError is raised.
+    NoConvergenceError is raised; so it is, before any term, for a scan
+    whose window is not below max_terms.
     """
     if window < 1:
         raise DomainError("window must be positive")
@@ -360,6 +361,9 @@ def fixed_point(
         return ConvergenceReport(
             formula, diameter, policy, value, onset, AnalyticVanish(), onset
         )
+    if window >= max_terms:
+        raise NoConvergenceError(f"no convergence detectable within {max_terms} terms: "
+                                 f"a window of {window} needs at least {window + 1}")
     bound = _within(max_terms, formula.onset(diameter, policy), "term and correction") if integer else 1
     run_start = None
     prev = None

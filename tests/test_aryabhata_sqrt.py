@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paridhi.aryabhata_sqrt import (
+    _G,
     SqrtStep,
     SqrtTrace,
     isqrt,
@@ -96,6 +97,65 @@ class TestIsqrt:
     def test_contract(self, n):
         root, _ = isqrt(n)
         assert root * root <= n < (root + 1) * (root + 1)
+
+
+# Digit counts where the head's length changes: every count up to 4g + 2,
+# and either side of each multiple of 2g up to the 4300-digit str limit.
+LENGTHS = sorted(
+    set(range(1, 4 * _G + 3))
+    | {2 * _G * k + d for k in range(1, 4300 // (2 * _G) + 1) for d in (-1, 0, 1)}
+)
+
+
+def with_digits(length: int):
+    return st.integers(min_value=10 ** (length - 1) if length > 1 else 0,
+                       max_value=10**length - 1)
+
+
+def assert_isqrt(n: int):
+    root = math.isqrt(n)
+    assert isqrt(n) == (root, n - root * root)
+
+
+class TestIsqrtInGroups:
+    """isqrt steps g digit pairs at a time past its head; math.isqrt is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LENGTHS).flatmap(with_digits))
+    @example(10000000884372814701777600000015)  # a head of 2g digits would overshoot q by two
+    def test_every_head_length_against_math_isqrt(self, n):
+        assert_isqrt(n)
+
+    def test_the_extremes_of_every_head_length(self):
+        for length in LENGTHS:
+            for n in (10 ** (length - 1), 10**length - 1):
+                assert_isqrt(n)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=0, max_value=2000))
+    def test_radicands_scaled_by_an_even_power_of_ten(self, a, frac_digits):
+        n = a * 10 ** (2 * frac_digits)
+        assert_isqrt(n)
+        assert sqrt_scaled(a, frac_digits).mantissa == math.isqrt(n)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=10**2100))
+    @example(1)
+    @example(10**_G - 1)
+    def test_a_root_ending_in_a_full_group_of_nines(self, high):
+        # the root's last group is B - 1, and r**2 + 2r is the largest radicand
+        # with floor root r, so the last step's estimate is pushed hardest toward B
+        root = high * 10**_G + 10**_G - 1
+        for n in (root * root + 2 * root, root * root, root * root - 1):
+            assert_isqrt(n)
+
+    def test_a_radicand_at_the_str_limit_returns(self):
+        n = 10**4300 - 1
+        assert_isqrt(n)
+
+    def test_a_radicand_past_the_str_limit_raises_value_error(self):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            isqrt(10**4300)
 
 
 class TestIsqrtNearest:

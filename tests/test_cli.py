@@ -569,6 +569,15 @@ class TestCaps:
                                            "every term rounds to zero only from n = 17099759466767\n")
         assert time.perf_counter() - start < 0.2
 
+    def test_fixed_point_refuses_a_window_not_below_max_terms(self):
+        start = time.perf_counter()
+        code, out, err = run("fixed-point", "--formula", "f4", "--diameter", D12,
+                             "--policy", "final-nearest", "--window", "20000",
+                             "--max-terms", "10000")
+        assert (code, out, err) == (1, "", "error: no convergence detectable within 10000 "
+                                           "terms: a window of 20000 needs at least 20001\n")
+        assert time.perf_counter() - start < 0.2
+
     @pytest.mark.parametrize(
         "formula,diameter,what,onset",
         [

@@ -332,6 +332,33 @@ class TestFixedPoint:
             fixed_point(F2C3, D, FLOOR_EACH_OP, max_terms=2 * 10**5)
         assert time.perf_counter() - start < 0.2
 
+    @pytest.mark.parametrize("formula,policy", [(F4(), FINAL_NEAREST), (F2C3, FLOOR_EACH_OP)])
+    @pytest.mark.parametrize("window", [10**4, 2 * 10**4])
+    def test_a_window_not_below_max_terms_raises_before_scanning(
+        self, monkeypatch, formula, policy, window
+    ):
+        # a run of `window` equal values needs window + 1 rows, so no scan could end in one
+        def no_scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(type(formula), "values", no_scan)
+        message = rf"within 10000 terms: a window of {window} needs at least {window + 1}$"
+        with pytest.raises(NoConvergenceError, match=message):
+            fixed_point(formula, D, policy, window=window, max_terms=10**4)
+
+    def test_the_widest_window_below_max_terms_is_scanned(self):
+        scanned = r"^no convergence detected within 1000 terms \(window 999\)"
+        with pytest.raises(NoConvergenceError, match=scanned):
+            fixed_point(F4(), D, FINAL_NEAREST, window=999, max_terms=1000)
+        report = fixed_point(F4(), D, FINAL_NEAREST, window=765, max_terms=1000)
+        assert (report.fixed_value, report.onset, report.max_terms_examined) == (
+            2827433388231, 235, 1000,
+        )
+
+    @pytest.mark.parametrize("formula,policy", [(F3(), FLOOR_EACH_OP), (F4(), NEAREST_EACH_OP)])
+    def test_the_analytic_path_ignores_the_window(self, formula, policy):
+        assert fixed_point(formula, D, policy, window=2 * 10**4) == fixed_point(formula, D, policy)
+
     @pytest.mark.parametrize(
         "formula,diameter,policy,onset",
         [
