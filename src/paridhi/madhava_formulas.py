@@ -128,7 +128,9 @@ class _Formula:
         return onset, circumference(self, diameter, onset, policy).circumference
 
     def onset(self, diameter: int, policy: EachOp) -> int:
-        """The smallest n whose term, rounded by the policy's own division, is zero."""
+        """The smallest n whose term, rounded by the policy's own division, is zero.  For F2
+        each correction is zero by then: 4D*F(n) <= D/n rounds to zero from n > D (floor) or
+        n > 2D (half-up), and the term 4D/(2n - 1) only from n = 2D + 1 or 4D + 1."""
         numerator = self.factor * diameter
         return _first(lambda n: policy.mode.div(numerator, self.denominator(n)) == 0)
 
@@ -186,16 +188,6 @@ class F2(_Formula):
 
     def analytic_fixed_point(self, diameter: int, policy: Policy, max_terms: int) -> None:
         return None  # the rounded terms vanish only past n = 2D (floor) or 4D (nearest)
-
-    def onset(self, diameter: int, policy: EachOp) -> int:
-        """The first n from which every term and correction, rounded by the policy, is zero."""
-
-        def vanished(n: int) -> bool:
-            f = correction_fraction(self.correction, n)
-            corr = policy.mode.div(4 * diameter * f.numerator, f.denominator)
-            return policy.mode.div(4 * diameter, 2 * n - 1) == 0 == corr
-
-        return _first(vanished)
 
 
 @dataclass(frozen=True)
@@ -376,6 +368,6 @@ def fixed_point(
                 formula, diameter, policy, value, run_start, WindowedScan(window), n
             )
     raise NoConvergenceError(
-        f"no convergence detected within {max_terms} terms "
-        f"(window {window}); the value kept changing"
+        f"no convergence detected within {max_terms} terms (window {window}); the last "
+        f"value, {prev}, held from n = {run_start} for {n - run_start + 1} rows"
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .exact_arith import DomainError, RoundingMode, nearest_div, ratio_round
+from .exact_arith import DomainError, RoundingMode, nearest_div, round_enclosure
 
 PI_DIGIT_STRING = "3.14159265358979323846"
 _PI_INT = int(PI_DIGIT_STRING.replace(".", ""))  # pi * 10**20, truncated
@@ -51,8 +51,8 @@ PI = PiReference()
 def true_circumference(diameter: int, mode: RoundingMode) -> int:
     """pi * diameter rounded per mode, using the 20-place reference.
 
-    The true product lies in [ref*D, ref*D + D/10**20); both ends must
-    round identically, otherwise the stored precision is insufficient.
+    The true product lies in [ref*D, ref*D + D/10**20], or (2P + 1) D ± D in units of
+    1/(2*10**20) for P = ref*10**20; both ends must round alike, else the digits cannot decide.
     """
     if diameter <= 0:
         raise DomainError("diameter must be positive")
@@ -60,14 +60,12 @@ def true_circumference(diameter: int, mode: RoundingMode) -> int:
         raise InsufficientPrecisionError(
             f"diameter {diameter} exceeds the reference precision cap {MAX_DIAMETER}"
         )
-    lo = PI.as_ratio(_PLACES) * diameter
-    hi = lo + Fraction(diameter, 10**_PLACES)
-    r_lo = ratio_round(lo, mode)
-    if r_lo != ratio_round(hi, mode):
+    rounded = round_enclosure(2 * _PI_INT * diameter + diameter, diameter, 2 * 10**_PLACES, mode)
+    if rounded is None:
         raise InsufficientPrecisionError(
             "reference digits cannot decide the rounding for this diameter"
         )
-    return r_lo
+    return rounded
 
 
 def matching_decimal_places(candidate: int, diameter: int) -> int:

@@ -216,7 +216,6 @@ def root12_terms(top: tuple[int, int, int], a: Arithmetic) -> Terms:
         yield split(x, power)[0], t, c
         if tail:
             yield from repeat((t, t, c))
-            return
         power *= 3
 
 

@@ -47,6 +47,25 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv,code,out,err",
+        [
+            (["onset", "--formula", "f3", "--policy", "floor", "--diameter", D12], 0, "7663\n", ""),
+            (["varman", "--diameter", "0", "--policy", "floor"], 1, "",
+             "error: diameter must be positive\n"),
+            (["sqrt", "81", "--fast"], 2, "",
+             f"error: unrecognized arguments: --fast\n{cli.build_parser().format_usage()}"),
+        ],
+    )
+    def test_main_writes_the_outcome_and_returns_its_code(self, capsys, argv, code, out, err):
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_main_reads_sys_argv_by_default(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["paridhi", "sqrt", "81"])
+        assert cli.main() == 0
+        assert capsys.readouterr() == ("root = 9\nremainder = 0\n", "")
+
     def test_usage_error_is_2(self):
         code, _, err = run("frobnicate")
         assert code == 2

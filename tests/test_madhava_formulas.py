@@ -292,6 +292,25 @@ class TestFixedPoint:
         # the terms 4D/(2n-1) are the last to vanish: from 2n-1 > 4D (floor) or > 8D (nearest)
         assert F2(correction).onset(1000, policy) == bound
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**30),
+        st.sampled_from(list(CorrectionId)),
+        st.sampled_from([FLOOR, NEAREST]),
+        st.integers(min_value=0, max_value=10**30),
+    )
+    @example(1, CorrectionId.C1, FLOOR, 0)
+    @example(10**30, CorrectionId.C3, NEAREST, 10**30)
+    def test_f2_onset_is_the_closed_form_term_onset(self, diameter, correction, mode, later):
+        assert "onset" not in vars(F2)  # F2 inherits _Formula's term onset
+        policy = FLOOR_EACH_OP if mode is FLOOR else NEAREST_EACH_OP
+        small = Fraction(1) if mode is FLOOR else Fraction(1, 2)  # what rounds to 0
+        onset = F2(correction).onset(diameter, policy)
+        assert onset == (2 if mode is FLOOR else 4) * diameter + 1
+        assert Fraction(4 * diameter, 2 * onset - 3) >= small > Fraction(4 * diameter, 2 * onset - 1)
+        for n in (onset, onset + later):  # 4D*F(n) <= D/n, which only falls as n grows
+            assert 4 * diameter * correction_fraction(correction, n) <= Fraction(diameter, n) < small
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=1, max_value=300),
@@ -347,7 +366,8 @@ class TestFixedPoint:
             fixed_point(formula, D, policy, window=window, max_terms=10**4)
 
     def test_the_widest_window_below_max_terms_is_scanned(self):
-        scanned = r"^no convergence detected within 1000 terms \(window 999\)"
+        scanned = (r"^no convergence detected within 1000 terms \(window 999\); the last value, "
+                   r"2827433388231, held from n = 235 for 766 rows$")
         with pytest.raises(NoConvergenceError, match=scanned):
             fixed_point(F4(), D, FINAL_NEAREST, window=999, max_terms=1000)
         report = fixed_point(F4(), D, FINAL_NEAREST, window=765, max_terms=1000)
