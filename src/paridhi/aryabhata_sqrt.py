@@ -124,15 +124,15 @@ def isqrt_nearest(n: int) -> int:
 
 def isqrt_traced(n: int) -> SqrtTrace:
     """Digit-pair square root with a full place-by-place step trace."""
-    steps = []
+    step = tuple.__new__  # SqrtStep's fields in order, without its Python-level __new__
     digits = _digits(n)
-    for w, root, q in _steps(digits, len(digits)):
-        if not steps:  # the leading pair
-            steps.append(SqrtStep("odd", w, q * q, q, q * q))
-            continue
-        divisor = 2 * root
-        steps.append(SqrtStep("even", w // 10, divisor, q, q * divisor))
-        steps.append(SqrtStep("odd", w - 10 * q * divisor, q * q, None, q * q))
+    pairs = _steps(digits, len(digits))
+    w, root, q = next(pairs)  # the leading pair
+    steps = [step(SqrtStep, ("odd", w, q * q, q, q * q))]
+    for w, root, q in pairs:
+        divisor, qq = 2 * root, q * q
+        steps += (step(SqrtStep, ("even", w // 10, divisor, q, q * divisor)),
+                  step(SqrtStep, ("odd", w - 10 * q * divisor, qq, None, qq)))
     return SqrtTrace(n, tuple(steps), 10 * root + q, w - q * (20 * root + q))
 
 

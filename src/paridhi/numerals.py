@@ -12,7 +12,9 @@ syllables.
 Bhutasamkhya: whole words name digit groups ("eyes" = 2, "gods" = 33); a
 two-word [digit-word, magnitude-word] phrase multiplies instead.  The
 word list lives in a TSV lexicon that can be extended without code
-changes.
+changes.  A word is looked up as written first, among the lexicon's words
+already in normal form (stripped, lower-case, NFC), and is normalised and
+looked up again only on a miss.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .exact_arith import DomainError, digits_to_int
 
@@ -47,10 +50,7 @@ KATAPAYADI_VALUES: Mapping[str, int] = {
 }
 
 # First varga consonant per digit, used for canonical encoding.
-_CANONICAL_SYLLABLE = {
-    1: "ka", 2: "kha", 3: "ga", 4: "gha", 5: "ṅa",
-    6: "ca", 7: "cha", 8: "ja", 9: "jha", 0: "ña",
-}
+_CANONICAL_SYLLABLE = dict(zip("1234567890", "ka kha ga gha ṅa ca cha ja jha ña".split()))
 
 _DIGITS = {consonant: str(value) for consonant, value in KATAPAYADI_VALUES.items()}
 _VOWELS = frozenset(("ai", "au", "a", "ā", "i", "ī", "u", "ū", "e", "o", "ṛ", "ṝ"))
@@ -100,17 +100,13 @@ def parse_syllable(text: str) -> SyllableToken:
     return SyllableToken(norm, tuple(cluster), vowel)
 
 
-def _coerce_tokens(tokens: Iterable[SyllableToken | str]) -> list[SyllableToken]:
-    return [t if isinstance(t, SyllableToken) else parse_syllable(t) for t in tokens]
-
-
 def katapayadi_digits(tokens: Sequence[SyllableToken | str]) -> str:
     """Digit string in written (units-first) order, one digit per valued token.
 
     A standalone vowel counts as 0.
     """
     digits = []
-    for token in _coerce_tokens(tokens):
+    for token in [t if isinstance(t, SyllableToken) else parse_syllable(t) for t in tokens]:
         if token.vowel is None:
             continue  # syllable-final consonants carry no value
         cluster = token.consonant_cluster
@@ -135,7 +131,7 @@ def encode_katapayadi(n: int) -> list[SyllableToken]:
     """
     if n < 0:
         raise DomainError("cannot encode a negative integer")
-    return [parse_syllable(_CANONICAL_SYLLABLE[int(d)]) for d in reversed(str(n))]
+    return [parse_syllable(_CANONICAL_SYLLABLE[d]) for d in reversed(str(n))]
 
 
 @dataclass(frozen=True)
@@ -143,13 +139,22 @@ class BhutasamkhyaLexicon:
     digit_words: Mapping[str, str]  # word -> decimal digit string
     magnitude_words: Mapping[str, int]  # word -> power of ten
 
+    def __post_init__(self) -> None:  # read-only copies, so the word table below stays true
+        for name in ("digit_words", "magnitude_words"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    @cached_property
+    def _words(self) -> dict[str, tuple[str, str | int]]:
+        """word -> (kind, value) for the words already in normal form; digit words win."""
+        table = {w: ("magnitude", v) for w, v in self.magnitude_words.items() if _nfc(w) == w}
+        table.update((w, ("digits", v)) for w, v in self.digit_words.items() if _nfc(w) == w)
+        return table
+
     def classify(self, word: str) -> tuple[str, str | int]:
-        norm = _nfc(word)
-        if norm in self.digit_words:
-            return "digits", self.digit_words[norm]
-        if norm in self.magnitude_words:
-            return "magnitude", self.magnitude_words[norm]
-        raise DecodeError(f"unknown word {word!r}")
+        hit = self._words.get(word) or self._words.get(_nfc(word))  # _nfc is idempotent
+        if hit is None:
+            raise DecodeError(f"unknown word {word!r}")
+        return hit
 
 
 def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
@@ -159,9 +164,7 @@ def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
     k at most MAX_MAGNITUDE.  Blank lines and lines starting with '#' are skipped.
     """
     if path is None:
-        text = (
-            resources.files("paridhi").joinpath("data/bhutasamkhya.tsv").read_text("utf-8")
-        )
+        text = resources.files("paridhi").joinpath("data/bhutasamkhya.tsv").read_text("utf-8")
     else:
         try:
             text = Path(path).read_text("utf-8")
@@ -196,9 +199,7 @@ def default_lexicon() -> BhutasamkhyaLexicon:
     return load_lexicon()
 
 
-def decode_bhutasamkhya(
-    words: Sequence[str], lexicon: BhutasamkhyaLexicon | None = None
-) -> int:
+def decode_bhutasamkhya(words: Sequence[str], lexicon: BhutasamkhyaLexicon | None = None) -> int:
     """Decode a word-numeral phrase to an integer.
 
     A plain digit-word sequence is read units-first: the word order is
@@ -209,17 +210,15 @@ def decode_bhutasamkhya(
     if not words:
         raise DecodeError("empty word list")
     lex = lexicon if lexicon is not None else default_lexicon()
-    classified = [lex.classify(w) for w in words]
+    get, classify = lex._words.get, lex.classify
+    classified = [get(w) or classify(w) for w in words]  # all before any magnitude check
     if len(classified) == 2 and classified[1][0] == "magnitude":
         kind, digits = classified[0]
         if kind != "digits":
             raise DecodeError(f"magnitude word {words[0]!r} cannot carry digits")
         return digits_to_int(digits) * 10 ** classified[1][1]
-    parts = []
-    for word, (kind, value) in zip(words, classified):
-        if kind != "digits":
-            raise DecodeError(
-                f"magnitude word {word!r} mixed into a digit sequence"
-            )
-        parts.append(value)
+    parts = [value for kind, value in classified if kind == "digits"]
+    if len(parts) < len(classified):
+        word = next(w for w, (kind, _) in zip(words, classified) if kind != "digits")
+        raise DecodeError(f"magnitude word {word!r} mixed into a digit sequence")
     return digits_to_int("".join(reversed(parts)))

@@ -229,6 +229,10 @@ class TestIsqrtTraced:
         trace = isqrt_traced(n)
         assert trace == reference_trace(n)
         assert isqrt(n) == (trace.root, trace.remainder)
+        # tuple equality ignores the class: the CLI's --trace rows read SqrtStep's fields
+        assert {type(step) for step in trace.steps} == {SqrtStep}
+        assert [step._asdict() for step in trace.steps] == [
+            step._asdict() for step in reference_trace(n).steps]
 
     @given(st.integers(min_value=1, max_value=10**40))
     def test_subtractions_reconcile(self, n):

@@ -1,4 +1,5 @@
 import unicodedata
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from paridhi.numerals import (
     KATAPAYADI_VALUES,
     MAX_MAGNITUDE,
+    BhutasamkhyaLexicon,
     DecodeError,
     SyllableToken,
     decode_bhutasamkhya,
@@ -147,10 +149,27 @@ class TestDecodeKatapayadi:
         with pytest.raises(DecodeError, match="has no value"):
             decode_katapayadi([SyllableToken("qa", ("q",), "a")])
 
+    def test_strings_and_tokens_mixed(self):
+        mixed = [parse_syllable(t) if i % 2 else t for i, t in enumerate(PHRASE)]
+        assert decode_katapayadi(mixed) == 314159265358979324
+        assert decode_katapayadi([*encode_katapayadi(12), "ga", parse_syllable("a")]) == 312
+
+    def test_every_string_is_parsed_before_any_digit_is_read(self):
+        with pytest.raises(DecodeError, match="^unknown letter 'x' in token 'x'$"):
+            decode_katapayadi([SyllableToken("qa", ("q",), "a"), "x"])
+
+
+# the canonical syllable of each digit 0..9: its first varga consonant with "a"
+CANONICAL = "ña ka kha ga gha ṅa ca cha ja jha".split()
+
 
 class TestEncodeKatapayadi:
     def test_zero(self):
         assert [t.text for t in encode_katapayadi(0)] == ["ña"]
+
+    def test_tokens_are_the_parsed_canonical_syllables(self):
+        assert encode_katapayadi(0) == [parse_syllable("ña")]
+        assert encode_katapayadi(9876543210) == [parse_syllable(s) for s in CANONICAL]  # units first
 
     def test_twelve(self):
         assert [t.text for t in encode_katapayadi(12)] == ["kha", "ka"]
@@ -238,3 +257,122 @@ class TestBhutasamkhya:
         path.write_text(f"word\t{value}\n", encoding="utf-8")
         with pytest.raises(DecodeError, match="malformed lexicon value"):
             load_lexicon(path)
+
+
+def reference_classify(lex: BhutasamkhyaLexicon, word: str) -> tuple[str, str | int]:
+    """Normalise first, then probe the digit words and then the magnitude words."""
+    norm = unicodedata.normalize("NFC", word.strip().lower())
+    if norm in lex.digit_words:
+        return "digits", lex.digit_words[norm]
+    if norm in lex.magnitude_words:
+        return "magnitude", lex.magnitude_words[norm]
+    raise DecodeError(f"unknown word {word!r}")
+
+
+def reference_decode(words: list[str], lex: BhutasamkhyaLexicon) -> int:
+    """Every word classified by reference_classify, then the phrase rules in order."""
+    if not words:
+        raise DecodeError("empty word list")
+    classified = [reference_classify(lex, w) for w in words]
+    if len(classified) == 2 and classified[1][0] == "magnitude":
+        kind, digits = classified[0]
+        if kind != "digits":
+            raise DecodeError(f"magnitude word {words[0]!r} cannot carry digits")
+        return int(digits) * 10 ** classified[1][1]
+    parts = []
+    for word, (kind, value) in zip(words, classified):
+        if kind != "digits":
+            raise DecodeError(f"magnitude word {word!r} mixed into a digit sequence")
+        parts.append(value)
+    return int("".join(reversed(parts)))
+
+
+# A lexicon built by hand, not loaded: some keys are not in normal form, which
+# no lookup may reach, and two normal-form words are both digits and magnitudes.
+HAND_BUILT = BhutasamkhyaLexicon(
+    digit_words={"eka": "1", "Dvi": "2", " tri": "3", unicodedata.normalize("NFD", "vārana"): "8",
+                 "ṣaṭ": "6", "koṭi": "0"},
+    magnitude_words={"koṭi": 7, "Śata": 2, "sahasra": 3, "ṣaṭ": 9},
+)
+_LEXICONS = [default_lexicon(), HAND_BUILT]
+_KEYS = sorted({w for lex in _LEXICONS for w in (*lex.digit_words, *lex.magnitude_words)})
+
+
+@st.composite
+def _word_texts(draw):
+    word = draw(st.one_of(st.sampled_from(_KEYS), st.text(max_size=8)))
+    if draw(st.booleans()):
+        word = draw(st.sampled_from([str.upper, str.title, str.lower]))(word)
+    if draw(st.booleans()):
+        word = unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), word)
+    return draw(st.sampled_from(["", " ", "\t"])) + word + draw(st.sampled_from(["", "  "]))
+
+
+class TestWordLookup:
+    """The raw-first word table finds what normalising first finds, or fails alike."""
+
+    @settings(max_examples=1000)
+    @given(st.sampled_from(_LEXICONS), _word_texts())
+    def test_classify_matches_normalising_first(self, lex, word):
+        assert _parsed(lex.classify, word) == _parsed(partial(reference_classify, lex), word)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(_LEXICONS), st.lists(_word_texts(), max_size=4))
+    def test_decode_matches_normalising_first(self, lex, words):
+        assert (_parsed(partial(decode_bhutasamkhya, lexicon=lex), words)
+                == _parsed(partial(reference_decode, lex=lex), words))
+
+    @pytest.mark.parametrize("word, outcome", [
+        ("Dvi", "unknown word 'Dvi'"), ("dvi", "unknown word 'dvi'"),
+        (" tri", "unknown word ' tri'"), ("tri", "unknown word 'tri'"),
+        ("vārana", "unknown word 'vārana'"), ("Śata", "unknown word 'Śata'"),
+        ("śata", "unknown word 'śata'"), ("eka", ("digits", "1")), (" EKA\t", ("digits", "1")),
+        ("koṭi", ("digits", "0")), ("KOṬI", ("digits", "0")), ("ṣaṭ", ("digits", "6")),
+        ("sahasra", ("magnitude", 3)),
+    ])
+    def test_hand_built_keys(self, word, outcome):
+        assert _parsed(HAND_BUILT.classify, word) == outcome
+
+    @pytest.mark.parametrize("lex", _LEXICONS, ids=["packaged", "hand-built"])
+    def test_word_maps_are_read_only(self, lex):
+        # the table is built from the maps once, so a later edit must be impossible
+        with pytest.raises(TypeError):
+            lex.digit_words["cakra"] = "1"
+        with pytest.raises(TypeError):
+            del lex.magnitude_words[next(iter(lex.magnitude_words))]
+
+    def test_a_lexicon_keeps_its_own_copy(self):
+        digit_words, magnitude_words = {"eka": "1"}, {"śata": 2}
+        lex = BhutasamkhyaLexicon(digit_words, magnitude_words)
+        assert lex.classify("eka") == ("digits", "1")
+        digit_words["dvi"], magnitude_words["śata"] = "2", 3
+        del digit_words["eka"]
+        assert (lex.digit_words, lex.magnitude_words) == ({"eka": "1"}, {"śata": 2})
+        assert lex.classify("eka") == ("digits", "1")
+        assert lex.classify("śata") == ("magnitude", 2)
+        with pytest.raises(DecodeError, match="^unknown word 'dvi'$"):
+            lex.classify("dvi")
+
+
+class TestDecodeErrorPrecedence:
+    @pytest.mark.parametrize("words, message", [
+        (["netra", "nikharva", "chakra"], "unknown word 'chakra'"),
+        (["nikharva", "chakra"], "unknown word 'chakra'"),
+        (["chakra", "nikharva"], "unknown word 'chakra'"),
+        (["nikharva", "nikharva"], "magnitude word 'nikharva' cannot carry digits"),
+        ([" Nikharva", "NIKHARVA"], "magnitude word ' Nikharva' cannot carry digits"),
+        (["netra", "nikharva", "gaja"], "magnitude word 'nikharva' mixed into a digit sequence"),
+        (["nikharva", "nava"], "magnitude word 'nikharva' mixed into a digit sequence"),
+        (["netra", "gaja", "Nikharva\t", "nikharva"],
+         "magnitude word 'Nikharva\\t' mixed into a digit sequence"),
+        (["nikharva"], "magnitude word 'nikharva' mixed into a digit sequence"),
+        ([], "empty word list"),
+    ])
+    def test_first_failing_rule_names_its_word(self, words, message):
+        with pytest.raises(DecodeError) as caught:
+            decode_bhutasamkhya(words)
+        assert str(caught.value) == message
+
+    def test_padded_and_upper_case_words_decode(self):
+        assert decode_bhutasamkhya(["NETRA", " Gaja"]) == 82
+        assert decode_bhutasamkhya([" Nava", "NIKHARVA "]) == 900000000000
