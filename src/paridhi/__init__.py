@@ -57,9 +57,7 @@ from .numerals import (
     parse_syllable,
 )
 from .reference_pi import (
-    PI,
     InsufficientPrecisionError,
-    PiReference,
     matching_decimal_places,
     true_circumference,
 )

@@ -53,6 +53,7 @@ LEDGER_DIAMETER = 10**17
 MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # caps on `scan` rows; `--terms`, `--max-terms`, `--to`
 MAX_FRAC_DIGITS = 1000  # cap on a series' --frac-digits: each term's work grows with the digits
 MAX_RATIONAL_LEDGER_TERMS = 4000  # cap on exact `varman` rows: its Fraction sums grow quadratically
+MAX_SQRT_FRAC_DIGITS = 10**4  # cap on `sqrt --frac-digits` where the int/str limit is off or n = 0
 
 
 class UsageError(Exception):
@@ -233,6 +234,7 @@ def _cmd_sqrt(args) -> str:
         if args.n > 0 and 0 < limit < digits:  # the digit-pair root reads the radicand with str()
             raise DomainError(f"n * 10^(2 * frac_digits) has {digits} digits, more than the "
                               f"interpreter's int/str limit of {limit}")
+        _check_cap("--frac-digits", args.frac_digits, MAX_SQRT_FRAC_DIGITS)
         scaled = sqrt_scaled(args.n, args.frac_digits)
         return f"root = {scaled.decimal()}\n"
     if args.round == "nearest":

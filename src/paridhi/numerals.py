@@ -63,10 +63,6 @@ class SyllableToken:
     consonant_cluster: tuple[str, ...]
     vowel: str | None
 
-    @property
-    def bears_digit(self) -> bool:
-        return self.vowel is not None
-
 
 def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text.strip().lower())

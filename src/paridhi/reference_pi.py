@@ -7,14 +7,13 @@ requested rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import ClassVar
+from os.path import commonprefix
 
 from .exact_arith import DomainError, RoundingMode, nearest_div, round_enclosure
 
 PI_DIGIT_STRING = "3.14159265358979323846"
-_PI_INT = int(PI_DIGIT_STRING.replace(".", ""))  # pi * 10**20, truncated
+_PI_DIGITS = PI_DIGIT_STRING.replace(".", "")
+_PI_INT = int(_PI_DIGITS)  # pi * 10**20, truncated
 _PLACES = 20
 
 MAX_DIAMETER = 10**18
@@ -22,30 +21,6 @@ MAX_DIAMETER = 10**18
 
 class InsufficientPrecisionError(DomainError):
     """The stored reference digits cannot decide the requested result."""
-
-
-@dataclass(frozen=True)
-class PiReference:
-    digits: ClassVar[str] = PI_DIGIT_STRING
-
-    def as_ratio(self, places: int) -> Fraction:
-        """Truncation of the reference to `places` fractional digits."""
-        return Fraction(self.truncated_int(places), 10**places)
-
-    def truncated_int(self, places: int) -> int:
-        """floor(pi * 10**places) for places <= 20."""
-        if not 0 <= places <= _PLACES:
-            raise DomainError(f"places must be in 0..{_PLACES}")
-        return _PI_INT // 10 ** (_PLACES - places)
-
-    def rounded_int(self, places: int) -> int:
-        """round-half-up(pi * 10**places); needs the next digit, so places < 20."""
-        if not 0 <= places < _PLACES:
-            raise DomainError(f"places must be in 0..{_PLACES - 1}")
-        return nearest_div(_PI_INT, 10 ** (_PLACES - places))
-
-
-PI = PiReference()
 
 
 def true_circumference(diameter: int, mode: RoundingMode) -> int:
@@ -82,14 +57,9 @@ def matching_decimal_places(candidate: int, diameter: int) -> int:
         raise DomainError("diameter must be positive")
     if candidate // diameter != 3:
         return 0
-    best = 0
-    for k in range(1, _PLACES + 1):
-        if candidate * 10**k // diameter == PI.truncated_int(k):
-            best = k
-        else:
-            break
+    # floor(c * 10**k / D) is the first k + 1 of the 21 digits of floor(c * 10**20 / D)
+    best = len(commonprefix((str(candidate * 10**_PLACES // diameter), _PI_DIGITS))) - 1
     for k in range(_PLACES - 1, best, -1):
-        if candidate * 10**k == PI.rounded_int(k) * diameter:
-            best = k
-            break
+        if candidate * 10**k == nearest_div(_PI_INT, 10 ** (_PLACES - k)) * diameter:
+            return k
     return best

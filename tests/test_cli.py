@@ -16,6 +16,7 @@ from paridhi.cli import (
     MAX_FRAC_DIGITS,
     MAX_RATIONAL_LEDGER_TERMS,
     MAX_SCAN_ROWS,
+    MAX_SQRT_FRAC_DIGITS,
     MAX_TERMS_CAP,
     POLICY_CHOICES,
     execute,
@@ -422,6 +423,17 @@ class TestSqrtCommand:
         assert err == (f"error: n * 10^(2 * frac_digits) has {limit + 1} digits, more than the "
                        f"interpreter's int/str limit of {limit}\n")
 
+    def test_frac_digits_cap_where_the_str_limit_does_not_reach(self, monkeypatch):
+        # n = 0 skips the int/str-limit refusal, so the cap alone bounds the work
+        assert MAX_SQRT_FRAC_DIGITS == 10**4
+        assert run("sqrt", "0", "--frac-digits", "10001") == (
+            1, "", "error: --frac-digits is at most 10000\n")
+        assert run("sqrt", "0", "--frac-digits", "10000") == (0, f"root = 0.{'0' * 10**4}\n", "")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit at all
+        monkeypatch.setattr(cli, "sqrt_scaled", None)  # refused before any work
+        assert run("sqrt", "2", "--frac-digits", "10001") == (
+            1, "", "error: --frac-digits is at most 10000\n")
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -525,6 +537,20 @@ class TestCompare:
         assert "matching_decimal_places = 10" in out
         assert "error_vs_nearest = +2" in out
         assert "error_vs_floor = +3" in out
+
+    @pytest.mark.parametrize(
+        "circumference,diameter,out",
+        [
+            ("314159265358979324", D17,
+             "matching_decimal_places = 17\ntrue_floor = 314159265358979323\n"
+             "true_nearest = 314159265358979324\nerror_vs_floor = +1\nerror_vs_nearest = +0\n"),
+            ("2827433388233", D12,
+             "matching_decimal_places = 10\ntrue_floor = 2827433388230\n"
+             "true_nearest = 2827433388231\nerror_vs_floor = +3\nerror_vs_nearest = +2\n"),
+        ],
+    )
+    def test_full_output(self, circumference, diameter, out):
+        assert run("compare", "--circumference", circumference, "--diameter", diameter) == (0, out, "")
 
 
 class TestFixedPointCommand:

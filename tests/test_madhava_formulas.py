@@ -34,7 +34,7 @@ from paridhi.madhava_formulas import (
     scan_range,
     vanish_onset,
 )
-from paridhi.reference_pi import PI
+from paridhi.reference_pi import PI_DIGIT_STRING
 from paridhi.series_engine import (
     FLOOR_EACH_OP,
     NEAREST_EACH_OP,
@@ -459,7 +459,7 @@ class TestBracketingAndCorrection:
     def test_leibniz_brackets_and_c3_improves(self):
         # test-local exact Leibniz sums: successive partial sums bracket
         # pi*D, and attaching the C3 correction shrinks the error
-        pi_d = PI.as_ratio(20) * D
+        pi_d = Fraction(PI_DIGIT_STRING) * D
         partial = Fraction(0)
         for n in range(1, 101):
             term = Fraction(4 * D, 2 * n - 1)

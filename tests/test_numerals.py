@@ -44,7 +44,6 @@ class TestParseSyllable:
     def test_bare_consonant(self):
         token = parse_syllable("d")
         assert token.vowel is None
-        assert not token.bears_digit
 
     def test_consonant_after_vowel_rejected(self):
         with pytest.raises(DecodeError):

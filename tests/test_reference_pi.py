@@ -1,14 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from paridhi.exact_arith import DomainError, RoundingMode, ratio_round
+from paridhi.exact_arith import DomainError, RoundingMode
 from paridhi.reference_pi import (
-    PI,
     PI_DIGIT_STRING,
     InsufficientPrecisionError,
-    PiReference,
     matching_decimal_places,
     true_circumference,
 )
@@ -16,46 +17,49 @@ from paridhi.reference_pi import (
 FLOOR = RoundingMode.FLOOR
 NEAREST = RoundingMode.NEAREST_HALF_UP
 D = 9 * 10**11
+REF = Fraction(PI_DIGIT_STRING)
 
 
-class TestPiReference:
-    def test_digit_string(self):
-        assert PI.digits == "3.14159265358979323846"
+def rounded_ref(k):
+    """The reference rounded half-up at k places, as an integer count of 10**-k."""
+    return math.floor(REF * 10**k + Fraction(1, 2))
 
-    def test_digits_cannot_be_replaced(self):
-        # every method reads the stored 20-place value, so another digit
-        # string would be silently ignored
-        with pytest.raises(TypeError):
-            PiReference("3.0")
 
-    def test_full_ratio(self):
-        assert PI.as_ratio(20) == Fraction(314159265358979323846, 10**20)
+def oracle_places(candidate, diameter):
+    """matching_decimal_places read off its docstring, over exact Fractions."""
+    ratio = Fraction(candidate, diameter)
+    if math.floor(ratio) != 3:
+        return 0
+    truncated = [k for k in range(21) if math.floor(ratio * 10**k) == math.floor(REF * 10**k)]
+    rounded = [k for k in range(20) if ratio == Fraction(rounded_ref(k), 10**k)]
+    return max(truncated + rounded)
 
-    def test_truncations(self):
-        assert PI.as_ratio(0) == 3
-        assert PI.as_ratio(2) == Fraction(314, 100)
-        assert PI.truncated_int(10) == 31415926535
 
-    def test_rounding_at_tenth_place(self):
-        # the 11th digit is 8, so rounding at 10 bumps the last digit
-        assert PI.rounded_int(10) == 31415926536
+@st.composite
+def near_pi_d(draw):
+    """Candidates within 10**e of pi*D, so every score from 0 to 20 turns up."""
+    diameter = draw(st.integers(min_value=1, max_value=10**30))
+    spread = 10 ** draw(st.integers(min_value=0, max_value=30))
+    offset = draw(st.integers(min_value=-spread, max_value=spread))
+    return max(math.floor(REF * diameter) + offset, 0), diameter
 
-    def test_places_out_of_range(self):
-        with pytest.raises(DomainError):
-            PI.as_ratio(21)
 
-    @pytest.mark.parametrize("places", range(20))
-    def test_truncated_and_rounded_match_ratio_round(self, places):
-        scaled = Fraction(int(PI_DIGIT_STRING.replace(".", "")), 10 ** (20 - places))
-        assert PI.truncated_int(places) == ratio_round(scaled, FLOOR)
-        assert PI.rounded_int(places) == ratio_round(scaled, NEAREST)
+@st.composite
+def rounded_hits(draw):
+    """c/D on, or one 10**-k step beside, the reference rounded at k places."""
+    k = draw(st.integers(min_value=0, max_value=19))
+    scale = draw(st.integers(min_value=1, max_value=10**10))
+    delta = draw(st.sampled_from((-1, 0, 1)))
+    return scale * (rounded_ref(k) + delta), scale * 10**k
 
-    def test_integer_places_out_of_range(self):
-        assert PI.truncated_int(20) == 314159265358979323846
-        with pytest.raises(DomainError):
-            PI.truncated_int(21)
-        with pytest.raises(DomainError):
-            PI.rounded_int(20)
+
+ANY_PAIR = st.tuples(
+    st.integers(min_value=0, max_value=10**31), st.integers(min_value=1, max_value=10**30)
+)
+
+
+def test_digit_string():
+    assert PI_DIGIT_STRING == "3.14159265358979323846"
 
 
 class TestTrueCircumference:
@@ -104,6 +108,13 @@ class TestMatchingDecimalPlaces:
     def test_off_by_one_up_scores_16(self):
         assert matching_decimal_places(314159265358979325, 10**17) == 16
 
+    @pytest.mark.parametrize("k", range(20))
+    def test_reference_cut_at_k_places(self, k):
+        # no fractional digit of the reference is 0, so a truncation at k agrees at no k + 1;
+        # rounded at 11 places, 3.14159265359 is also the reference rounded at 12
+        assert matching_decimal_places(math.floor(REF * 10**k), 10**k) == k
+        assert matching_decimal_places(rounded_ref(k), 10**k) == (12 if k == 11 else k)
+
     def test_integer_part_only(self):
         assert matching_decimal_places(3, 1) == 0
 
@@ -121,7 +132,7 @@ class TestMatchingDecimalPlaces:
         # counterexamples whenever it falls on the far side of a digit
         # boundary from pi*D)
         for d in (10**17, 9 * 10**11):
-            product = PI.as_ratio(20) * d
+            product = REF * d
             above = -(-product.numerator // product.denominator)  # ceil
             below = product.numerator // product.denominator
             for anchor, direction in ((above, 1), (below, -1)):
@@ -135,7 +146,7 @@ class TestMatchingDecimalPlaces:
         rng = random.Random(11)
         for _ in range(100):
             d = rng.randrange(10**6, 10**15)
-            product = PI.as_ratio(20) * d
+            product = REF * d
             above = -(-product.numerator // product.denominator)
             below = product.numerator // product.denominator
             for anchor, direction in ((above, 1), (below, -1)):
@@ -144,3 +155,13 @@ class TestMatchingDecimalPlaces:
                     score = matching_decimal_places(max(anchor + direction * delta, 0), d)
                     assert score <= prev
                     prev = score
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(near_pi_d(), rounded_hits(), ANY_PAIR))
+    @example((0, 1))
+    @example((314159265358979324, 10**17))  # the reference rounded at 17 places
+    @example((31415926535897932385, 10**19))  # rounded at 19; truncation scores 18
+    @example((314159265358979323846, 10**20))  # all 20 places, truncated
+    @example((3 * 10**30, 10**30))
+    def test_agrees_with_the_docstring_oracle(self, pair):
+        assert matching_decimal_places(*pair) == oracle_places(*pair)
