@@ -74,6 +74,42 @@ class TestTrueCircumference:
         with pytest.raises(InsufficientPrecisionError):
             true_circumference(10**18 + 1, NEAREST)
 
+    def test_cap_is_inclusive(self):
+        assert true_circumference(10**18, FLOOR) == 3141592653589793238
+        assert true_circumference(10**18, NEAREST) == 3141592653589793238
+        message = f"diameter {10**18 + 1} exceeds the reference precision cap {10**18}"
+        with pytest.raises(InsufficientPrecisionError) as excinfo:
+            true_circumference(10**18 + 1, FLOOR)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "mode, diameter", [(FLOOR, 934298973468971824), (NEAREST, 780637752552188865)]
+    )
+    def test_undecided_rounding_refused(self, mode, diameter):
+        # the product's enclosure [ref*D, ref*D + D/10**20] straddles a rounding boundary
+        low, high = REF * diameter, (REF + Fraction(1, 10**20)) * diameter
+        shift = Fraction(1, 2) if mode is NEAREST else 0
+        assert math.floor(low + shift) != math.floor(high + shift)
+        with pytest.raises(InsufficientPrecisionError) as excinfo:
+            true_circumference(diameter, mode)
+        assert str(excinfo.value) == "reference digits cannot decide the rounding for this diameter"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**18), st.sampled_from((FLOOR, NEAREST)))
+    @example(934298973468971824, FLOOR)
+    @example(780637752552188865, NEAREST)
+    @example(10**18, NEAREST)
+    def test_agrees_with_the_enclosure_oracle(self, diameter, mode):
+        # the true pi*D lies in [ref*D, ref*D + D/10**20]; both ends must round alike
+        shift = Fraction(1, 2) if mode is NEAREST else 0
+        low = math.floor(REF * diameter + shift)
+        high = math.floor((REF + Fraction(1, 10**20)) * diameter + shift)
+        if low == high:
+            assert true_circumference(diameter, mode) == low
+        else:
+            with pytest.raises(InsufficientPrecisionError):
+                true_circumference(diameter, mode)
+
     def test_nonpositive(self):
         with pytest.raises(DomainError):
             true_circumference(0, FLOOR)
