@@ -136,7 +136,6 @@ def _write(fmt: str, headers: list[str], rows: list[list], table) -> str:
 
 
 LEDGER_HEADERS = ["k", "x_k", "divisor", "sign", "t_k"]
-RESULT_HEADERS = ["formula", "correction", "diameter", "n", "policy", "circumference"]
 TRACE_HEADERS = ["place", "working", "divisor_or_square", "digit", "subtracted"]
 
 
@@ -150,47 +149,37 @@ def _ledger_table(headers: list[str], rows: list[list]) -> str:
     )
 
 
-def _result_rows(results) -> list[list]:
-    return [list(r.record().values()) for r in results]  # keyed as RESULT_HEADERS
+def _write_records(fmt: str, records: list[dict], table) -> str:
+    return _write(fmt, list(records[0]), [list(r.values()) for r in records], table)
 
 
 def _result_table(headers: list[str], rows: list[list]) -> str:
-    return _aligned(["n", "circumference"], [[n, c] for _, _, _, n, _, c in rows]) if rows else ""
+    n, c = headers.index("n"), headers.index("circumference")
+    return _aligned(["n", "circumference"], [[row[n], row[c]] for row in rows]) if rows else ""
 
 
-def _key_values(headers: list[str], rows: list[list]) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in zip(headers, rows[0]))
+def _key_values(**fields) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
 
 
 def _trace_rows(trace: SqrtTrace) -> list[list]:
-    return [
-        [s.place_kind, s.working_value, s.divisor_or_square,
-         "" if s.digit_emitted is None else s.digit_emitted, s.subtracted]
-        for s in trace.steps
-    ]
+    return [["" if field is None else field for field in step] for step in trace.steps]
 
 
 def _worksheet(trace: SqrtTrace) -> str:
-    """The classical long-division worksheet of a digit-pair square root."""
-    rows = []
-    root_so_far = ""
-    for step in trace.steps:
-        if step.digit_emitted is not None and step.place_kind == "odd":
-            root_so_far += str(step.digit_emitted)
-            note = f"floor(sqrt({step.working_value})) = {step.digit_emitted}"
-            rows.append([f"{step.working_value} -", root_so_far, note])
-            rows.append([step.subtracted, "", f"{step.digit_emitted}^2 = {step.subtracted}"])
-        elif step.place_kind == "even":
-            prev_root = step.divisor_or_square // 2
-            root_so_far += str(step.digit_emitted)
-            note = f"floor({step.working_value}/(2*{prev_root})) = {step.digit_emitted}"
-            rows.append([f"{step.working_value} -", root_so_far, note])
-            rows.append(
-                [step.subtracted, "", f"{step.digit_emitted}*(2*{prev_root}) = {step.subtracted}"]
-            )
-        else:
-            rows.append([f"{step.working_value} -", "", ""])
-            rows.append([step.subtracted, "", f"{root_so_far[-1]}^2 = {step.subtracted}"])
+    """The classical long-division worksheet: the leading step, then (even, odd) step pairs."""
+    lead, *steps = trace.steps
+    root = str(lead.digit_emitted)
+    rows = [[f"{lead.working_value} -", root, f"floor(sqrt({lead.working_value})) = {root}"],
+            [lead.subtracted, "", f"{root}^2 = {lead.subtracted}"]]
+    pairs = iter(steps)
+    for even, odd in zip(pairs, pairs):
+        q, divisor = even.digit_emitted, f"(2*{root})"  # the root so far, before this digit
+        root += str(q)
+        rows += [[f"{even.working_value} -", root, f"floor({even.working_value}/{divisor}) = {q}"],
+                 [even.subtracted, "", f"{q}*{divisor} = {even.subtracted}"],
+                 [f"{odd.working_value} -", "", ""],
+                 [odd.subtracted, "", f"{q}^2 = {odd.subtracted}"]]
     table = _aligned(["computations", "result", "notes"], rows)
     return f"n = {trace.input}\n{table}root = {trace.root}\nremainder = {trace.remainder}\n"
 
@@ -206,15 +195,11 @@ def _scan_all(
     frac_digits: int = 40,
 ) -> str:
     """The floor, nearest and one final-rounding scan side by side, one row per n."""
-    headers = ["n"]
-    columns = []
-    for code in ("floor", "nearest", final_code):
-        policy = _make_policy(code, backend, frac_digits)
-        results = scan_range(formula, diameter, policy, n_from, n_to)
-        headers.append(code.replace("-", "_"))
-        columns.append([r.circumference for r in results])
-    rows = [list(row) for row in zip(range(n_from, n_to + 1), *columns)]
-    return _write(fmt, headers, rows, _aligned)
+    codes = ("floor", "nearest", final_code)
+    scans = [scan_range(formula, diameter, _make_policy(code, backend, frac_digits), n_from, n_to)
+             for code in codes]
+    rows = [[results[0].n, *(r.circumference for r in results)] for results in zip(*scans)]
+    return _write(fmt, ["n", *(code.replace("-", "_") for code in codes)], rows, _aligned)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +235,8 @@ def _cmd_varman(args) -> str:
         _check_cap("--terms under a final policy on the rational backend", args.terms,
                    MAX_RATIONAL_LEDGER_TERMS)
     ledger = build_ledger(args.diameter, policy, args.terms)
-    summary = (
-        f"terms = {len(ledger.rows)}\n"
-        f"O = {_cell(ledger.odd_sum)}\n"
-        f"E = {_cell(ledger.even_sum)}\n"
-        f"C = {round_final(ledger.circumference, policy)}\n"
-    )
+    summary = _key_values(terms=len(ledger.rows), O=_cell(ledger.odd_sum),
+                          E=_cell(ledger.even_sum), C=round_final(ledger.circumference, policy))
     if not args.ledger:
         return summary
     return _write(args.format, LEDGER_HEADERS, _ledger_rows(ledger),
@@ -267,8 +248,7 @@ def _cmd_circumference(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     _check_cap("--terms", args.terms)
     result = circumference(formula, args.diameter, args.terms, policy)
-    return _write(args.format, RESULT_HEADERS, _result_rows([result]),
-                  lambda *_: f"{result.circumference}\n")
+    return _write_records(args.format, [result.record()], lambda *_: f"{result.circumference}\n")
 
 
 def _cmd_scan(args) -> str:
@@ -286,7 +266,7 @@ def _cmd_scan(args) -> str:
         raise UsageError("--final-mode applies only to --policy all")
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     results = scan_range(formula, args.diameter, policy, args.n_from, args.n_to)
-    return _write(args.format, RESULT_HEADERS, _result_rows(results), _result_table)
+    return _write_records(args.format, [r.record() for r in results], _result_table)
 
 
 def _cmd_fixed_point(args) -> str:
@@ -294,7 +274,7 @@ def _cmd_fixed_point(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     _check_cap("--max-terms", args.max_terms)
     record = fixed_point(formula, args.diameter, policy, args.window, args.max_terms).record()
-    return _write(args.format, list(record), [list(record.values())], _key_values)
+    return _write_records(args.format, [record], lambda *_: _key_values(**record))
 
 
 def _cmd_onset(args) -> str:
@@ -321,12 +301,10 @@ def _cmd_compare(args) -> str:
     places = matching_decimal_places(args.circumference, args.diameter)
     floor_true = true_circumference(args.diameter, RoundingMode.FLOOR)
     nearest_true = true_circumference(args.diameter, RoundingMode.NEAREST_HALF_UP)
-    return (
-        f"matching_decimal_places = {places}\n"
-        f"true_floor = {floor_true}\n"
-        f"true_nearest = {nearest_true}\n"
-        f"error_vs_floor = {args.circumference - floor_true:+d}\n"
-        f"error_vs_nearest = {args.circumference - nearest_true:+d}\n"
+    return _key_values(
+        matching_decimal_places=places, true_floor=floor_true, true_nearest=nearest_true,
+        error_vs_floor=f"{args.circumference - floor_true:+d}",
+        error_vs_nearest=f"{args.circumference - nearest_true:+d}",
     )
 
 

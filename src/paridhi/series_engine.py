@@ -179,8 +179,6 @@ class LedgerRow:
 
 @dataclass(frozen=True)
 class SeriesLedger:
-    diameter: int
-    policy: Policy
     rows: tuple[LedgerRow, ...]
     odd_sum: TermValue
     even_sum: TermValue
@@ -248,8 +246,8 @@ def build_ledger(
         if not (x or exact):
             break
     odd, even = sums
-    return SeriesLedger(diameter, policy, tuple(rows), value(odd, e * (k + 1 >> 1)),
-                        value(even, e * (k >> 1)), value(odd - even, c))
+    return SeriesLedger(tuple(rows), value(odd, e * (k + 1 >> 1)), value(even, e * (k >> 1)),
+                        value(odd - even, c))
 
 
 def round_final(value: TermValue, policy: Policy) -> int:
