@@ -288,7 +288,7 @@ def _cmd_decode(args) -> str:
         if args.lexicon is not None:
             raise UsageError("--lexicon applies only to --system bhutasamkhya")
         return int_to_digits(decode_katapayadi(args.tokens)) + "\n"
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
+    lexicon = load_lexicon(args.lexicon) if args.lexicon is not None else None
     return int_to_digits(decode_bhutasamkhya(args.tokens, lexicon)) + "\n"
 
 

@@ -156,14 +156,14 @@ class BhutasamkhyaLexicon:
 def load_lexicon(path: str | Path | None = None) -> BhutasamkhyaLexicon:
     """Load a word lexicon from a TSV file (default: the packaged one).
 
-    Each line is `word<TAB>digits` or `word<TAB>E<k>` for magnitude 10**k,
-    k at most MAX_MAGNITUDE.  Blank lines and lines starting with '#' are skipped.
+    Each line is `word<TAB>digits` or `word<TAB>E<k>` for magnitude 10**k, k at
+    most MAX_MAGNITUDE.  A byte-order mark, blank lines and '#' lines are skipped.
     """
     if path is None:
-        text = resources.files("paridhi").joinpath("data/bhutasamkhya.tsv").read_text("utf-8")
+        text = resources.files("paridhi").joinpath("data/bhutasamkhya.tsv").read_text("utf-8-sig")
     else:
         try:
-            text = Path(path).read_text("utf-8")
+            text = Path(path).read_text("utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise DecodeError(f"cannot read lexicon {str(path)!r}: {exc}") from None
     digit_words: dict[str, str] = {}

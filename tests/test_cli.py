@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 
 from paridhi import cli
 from paridhi.cli import (
+    FORMATS,
     MAX_FRAC_DIGITS,
     MAX_RATIONAL_LEDGER_TERMS,
     MAX_SCAN_ROWS,
     MAX_SQRT_FRAC_DIGITS,
     MAX_TERMS_CAP,
+    MODE_CHOICES,
     POLICY_CHOICES,
     execute,
 )
@@ -135,6 +138,35 @@ class TestExitCodes:
                                  "netra")
             assert (code, out) == (1, "")
             assert err.startswith("error: cannot read lexicon")
+
+    @pytest.mark.parametrize("text", ["eka\t1\nmaha\tE12\n", "# comment\neka\t1\nmaha\tE12\n"],
+                             ids=["word-first", "comment-first"])
+    def test_a_lexicon_may_start_with_a_byte_order_mark(self, tmp_path, text):
+        path = tmp_path / "bom.tsv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert run("decode", "--system", "bhutasamkhya", "--lexicon", str(path),
+                   "eka", "maha") == (0, "1000000000000\n", "")
+
+    def test_an_empty_lexicon_path_is_read_not_ignored(self):
+        code, out, err = run("decode", "--system", "bhutasamkhya", "--lexicon", "", "netra")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read lexicon ''")
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        def broken(n):
+            raise ValueError("not the int/str limit")
+
+        monkeypatch.setattr(cli, "encode_katapayadi", broken)
+        with pytest.raises(ValueError, match="^not the int/str limit$"):
+            run("encode", "12")
+
+    def test_undecided_final_floor_states_ulps_and_rational_decides(self):
+        argv = ["circumference", "--formula", "f2", "--correction", "c3", "--diameter", "7",
+                "--terms", "2", "--policy", "final-floor"]
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert "error bound ≤ 2 ulp at 40 fractional digits" in err
+        assert run(*argv, "--backend", "rational") == (0, "22\n", "")
 
     def test_undecidable_rounding_states_ulps(self):
         code, out, err = run("varman", "--diameter", D17, "--policy", "final-nearest",
@@ -564,6 +596,12 @@ class TestFixedPointCommand:
         assert code == 1
         assert "no convergence" in err
 
+    def test_an_onset_past_sys_maxsize_is_named(self):
+        code, out, err = run("fixed-point", "--formula", "f2", "--policy", "nearest",
+                             "--diameter", "10000000000000000000")
+        assert (code, out) == (1, "")
+        assert "from n = 40000000000000000001" in err
+
     @pytest.mark.parametrize(
         "formula,diameter,policy",
         [
@@ -788,3 +826,80 @@ class TestSharedParser:
         fresh = [execute(argv) for argv in self.SEQUENCE]
         assert forward == backward == fresh
         assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+class TestArgumentGrid:
+    """A fixed grid of command lines over every subcommand: each gets exit code 0, 1 or 2,
+    never an exception, and each refusal says `error:` on stderr."""
+
+    DIAMETERS = ["0", "-3", "1", "7", "1000", D12, D17]
+    FRAC_DIGITS = ["-1", "0", "1", "40", "1001"]
+    BACKENDS = [["--backend", backend, "--frac-digits", digits]
+                for backend, digits in itertools.product(("scaled", "rational"), FRAC_DIGITS)]
+    FORMULAS = [["--formula", "f1"], ["--formula", "f2"], ["--formula", "f3"], ["--formula", "f4"],
+                ["--formula", "f2", "--correction", "c1"]]
+    MALFORMED = [
+        [],
+        ["frobnicate"],
+        ["sqrt", "81", "--fast"],
+        ["sqrt", "1e3"],
+        ["varman", "--diameter", "1e17"],
+        ["varman", "--diameter", D17, "--policy", "ceiling"],
+        ["circumference", "--formula", "f5", "--diameter", D12, "--terms", "5",
+         "--policy", "floor"],
+        ["circumference", "--formula", "f1", "--correction", "c2", "--diameter", D12,
+         "--terms", "5", "--policy", "floor"],
+        ["scan", "--formula", "f4", "--diameter", D12, "--from", "1", "--policy", "floor"],
+        ["fixed-point", "--formula", "f3", "--diameter", D12, "--policy", "floor", "--window", "x"],
+        ["onset", "--formula", "f1", "--diameter", D12, "--policy", "floor"],
+        ["decode", "--system", "katapayadi"],
+        ["decode", "--system", "katapayadi", "--lexicon", "lex.tsv", "ka"],
+        ["encode", "--system", "bhutasamkhya", "12"],
+        ["compare", "--circumference", "3"],
+        ["reproduce", "--table", "table9"],
+    ]
+
+    @classmethod
+    def grid(cls):
+        for d, policy, backend in itertools.product(cls.DIAMETERS, POLICY_CHOICES, cls.BACKENDS):
+            for terms in ([], ["--terms", "0"], ["--terms", "1"], ["--terms", "5"]):
+                yield ["varman", "--diameter", d, "--policy", policy, *terms, *backend]
+            for formula in cls.FORMULAS:
+                series = [*formula, "--diameter", d, "--policy", policy, *backend]
+                for terms in ("0", "1", "5"):
+                    yield ["circumference", *series, "--terms", terms]
+                yield ["fixed-point", *series, "--window", "2", "--max-terms", "6"]
+        for formula, d, policy, (n_from, n_to), fmt in itertools.product(
+                cls.FORMULAS, cls.DIAMETERS, POLICY_CHOICES + ["all"],
+                [("1", "3"), ("0", "2"), ("3", "1")], FORMATS):
+            yield ["scan", *formula, "--diameter", d, "--policy", policy,
+                   "--from", n_from, "--to", n_to, "--format", fmt]
+        for formula, d, mode in itertools.product(("f3", "f4"), cls.DIAMETERS, MODE_CHOICES):
+            yield ["onset", "--formula", formula, "--diameter", d, "--policy", mode]
+        for n, digits in itertools.product(cls.DIAMETERS, [None, *cls.FRAC_DIGITS]):
+            frac = [] if digits is None else ["--frac-digits", digits]
+            for extra in ([], ["--trace"], ["--round", "nearest"], ["--format", "json"]):
+                yield ["sqrt", n, *frac, *extra]
+        for d in cls.DIAMETERS:
+            yield ["encode", d]
+            yield ["compare", "--circumference", "2827433388233", "--diameter", d]
+        for tokens in (PHRASE, WORDS, ["kha"], ["asdf"], ["nava", "nikharva"], ["nikharva"]):
+            yield ["decode", "--system", "katapayadi", *tokens]
+            yield ["decode", "--system", "bhutasamkhya", *tokens]
+        for table in sorted(cli._REPRODUCERS):
+            yield ["reproduce", "--table", table]
+
+    def test_every_command_exits_0_1_or_2_with_an_error_line(self):
+        codes = {0: 0, 1: 0, 2: 0}
+        for argv in self.grid():
+            code, out, err = execute(argv)
+            assert code in codes, argv
+            assert code == 0 or err.startswith("error:"), (argv, err)
+            codes[code] += 1
+        assert min(codes.values()) > 0
+
+    @pytest.mark.parametrize("argv", MALFORMED)
+    def test_malformed_command_lines_are_usage_errors(self, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err
