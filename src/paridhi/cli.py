@@ -5,6 +5,11 @@ digits with an optional leading '-'); exponents, dots, underscores, '+',
 spaces and non-ASCII digits are rejected, so no value ever passes through
 floating point.
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
+
+A command line that starts with a known command is parsed by that command's own
+sub-parser; anything else goes through the top-level parser. JSON output is
+the text of json.dumps(records, ensure_ascii=False, indent=2), built per record
+from key prefixes made once and values encoded at C level.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from json.encoder import encode_basestring
 
 from .aryabhata_sqrt import SqrtTrace, isqrt, isqrt_nearest, isqrt_traced, sqrt_scaled
 from .exact_arith import DomainError, RoundingMode, ScaledValue, decimal_string, int_to_digits
@@ -129,9 +134,11 @@ def _write(fmt: str, headers: list[str], rows: list[list], table) -> str:
         writer.writerow(headers)
         writer.writerows(rows)
         return buf.getvalue()
-    if fmt == "json":
-        records = [dict(zip(headers, row)) for row in rows]
-        return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+    if fmt == "json":  # json.dumps's indent=2 text; int.__repr__ refuses anything not an int
+        keys = [f"\n    {encode_basestring(h)}: " for h in headers]
+        records = [",".join([key + (encode_basestring(v) if type(v) is str else int.__repr__(v))
+                             for key, v in zip(keys, row)]) for row in rows]
+        return "[\n  {" + "\n  },\n  {".join(records) + "\n  }\n]\n" if rows else "[]\n"
     return table(headers, rows)
 
 
@@ -361,7 +368,8 @@ def _add_series_flags(sub, policies: list[str]) -> None:
 
 @functools.cache  # one parser per process; callers must not mutate it
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="paridhi", description=__doc__)
+    # --help shows the docstring but its last paragraph, which is for readers of this code
+    parser = _Parser(prog="paridhi", description=__doc__.rsplit("\n\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("sqrt", help="integer square root by the digit-pair method")
@@ -425,16 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", choices=sorted(_REPRODUCERS), required=True)
     p.set_defaults(handler=_cmd_reproduce)
 
+    parser.commands = subs.choices  # name -> sub-parser: execute parses a command's own args
     return parser
 
 
 def execute(argv: list[str]) -> tuple[int, str, str]:
     """Run one command line; returns (exit_code, stdout, stderr)."""
     parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
     captured_out, captured_err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(captured_out), redirect_stderr(captured_err):
-            args = parser.parse_args(argv)
+            args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0), captured_out.getvalue(), captured_err.getvalue()
     except UsageError as exc:

@@ -125,14 +125,16 @@ def decimal_string(r: Fraction, places: int) -> str:
 
     Truncation is toward zero; the sign is rendered as a leading '-'.
     """
+    return _truncated(r.numerator, r.denominator, places)
+
+
+def _truncated(numer: int, denom: int, places: int) -> str:
+    """decimal_string(Fraction(numer, denom), places) for denom > 0, in integers alone."""
     if places < 0:
         raise DomainError("places must be non-negative")
-    sign = "-" if r < 0 else ""
-    q = abs(r.numerator) * 10**places // r.denominator
-    int_part, frac_part = divmod(q, 10**places)
-    if places == 0:
-        return f"{sign}{int_part}"
-    return f"{sign}{int_part}.{frac_part:0{places}d}"
+    sign = "-" if numer < 0 else ""
+    int_part, frac_part = divmod(abs(numer) * 10**places // denom, 10**places)
+    return f"{sign}{int_part}.{frac_part:0{places}d}" if places else f"{sign}{int_part}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +214,7 @@ class ScaledValue:
         """Round to an integer, verifying the error bound cannot change it."""
         rounded = round_enclosure(self.mantissa, self.error_ulps, 10**self.scale, mode)
         if rounded is None:
-            near = decimal_string(self.as_fraction(), min(self.scale, 6))
+            near = self.decimal(min(self.scale, 6))
             raise RoundingUndecidableError(
                 f"error bound ≤ {math.ceil(self.error_ulps)} ulp at {self.scale} fractional "
                 f"digits straddles a rounding boundary near {near}; increase the number of "
@@ -221,4 +223,4 @@ class ScaledValue:
         return rounded
 
     def decimal(self, places: int | None = None) -> str:
-        return decimal_string(self.as_fraction(), self.scale if places is None else places)
+        return _truncated(self.mantissa, 10**self.scale, self.scale if places is None else places)

@@ -22,6 +22,10 @@ fails_with() { exits 1 "${@:2}"; grep -qF -- "$1" "$tmp/err" || fail "stderr lac
 for t in varman-ledger table2 table3 table-f4 f3-fixed-points; do cli reproduce --table "$t" | cmp - "tests/golden/${t//-/_}.txt"; done
 cli sqrt --trace 987654321 | cmp - tests/golden/sqrt_trace.txt
 for f in f1 f2 f3 f4; do cli circumference --formula "$f" --diameter 900000000000 --terms 5 --policy floor --format json | grep -F "\"formula\": \"$f\"" > /dev/null; done
+exits 0 cli --help > /dev/null
+exits 2 cli
+exits 2 cli frobnicate
+cli varman --diameter 100000000000000000 --policy final-nearest --terms 38 --ledger --format json > "$tmp/ledger.json"; python -c 'import json, sys; print(json.dumps(json.load(sys.stdin), ensure_ascii=False, indent=2))' < "$tmp/ledger.json" | cmp - "$tmp/ledger.json"
 exits 1 cli varman --diameter 0
 exits 1 cli varman --diameter 100 --policy nearest --frac-digits -3
 exits 1 cli circumference --formula f4 --diameter 900000000000 --terms 5 --policy final-nearest --backend rational --frac-digits -3

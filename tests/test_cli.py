@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,15 @@ class TestVarman:
         assert f1 == (0, summary["C"] + "\n", "")
 
 
+# Headers and rows for the JSON writer: header names are distinct, as every record's keys are.
+JSON_VALUES = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400), st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028\u2029", "ṇ\"\\\n", "é" * 3]))
+JSON_TABLES = st.integers(min_value=1, max_value=5).flatmap(lambda width: st.tuples(
+    st.lists(st.text(min_size=1), min_size=width, max_size=width, unique=True),
+    st.lists(st.lists(JSON_VALUES, min_size=width, max_size=width), max_size=4)))
+
+
 class TestRender:
     def test_ledger_first_row_layout(self):
         code, text, _ = run("reproduce", "--table", "varman-ledger")
@@ -285,6 +295,20 @@ class TestRender:
         assert write("table") == ""
         assert write("csv") == "n,circumference\n"
         assert write("json") == "[]\n"
+
+    @given(JSON_TABLES)
+    @example((["n", "circumference"], []))
+    @example((["गणित", "k\"\\"], [["\u2028", -(10**300)], ["\t\x01", 0]]))
+    def test_json_writer_is_json_dumps(self, table):
+        headers, rows = table
+        records = [dict(zip(headers, row)) for row in rows]
+        expected = json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+        assert cli._write("json", headers, rows, None) == expected
+
+    @pytest.mark.parametrize("value", [None, 1.5, Fraction(1, 2), [1], {}])
+    def test_json_writer_refuses_what_is_not_int_or_str(self, value):
+        with pytest.raises(TypeError):
+            cli._write("json", ["x"], [[value]], None)
 
     def test_report_render(self):
         argv = ["fixed-point", "--formula", "f3", "--diameter", D12, "--policy", "floor",
@@ -903,3 +927,20 @@ class TestArgumentGrid:
         code, out, err = run(*argv)
         assert (code, out) == (2, "")
         assert "error:" in err
+
+
+class TestDispatch:
+    """execute parses a command line that starts with a known command by that command's
+    sub-parser alone; it must give what the full top-level parse gives, byte for byte."""
+
+    EDGE = [["--help"], ["-h"], ["varman", "--help"], ["varman", "--he"], ["--"],
+            ["--", "sqrt", "4"], ["sqrt", "--", "-4"], ["sqr", "4"], ["Sqrt", "4"],
+            ["sqrt", "4", "extra"]]
+
+    def test_sub_parser_dispatch_matches_the_full_parse(self, monkeypatch):
+        argvs = [*TestArgumentGrid.grid(), *TestArgumentGrid.MALFORMED, *self.EDGE]
+        dispatched = [execute(argv) for argv in argvs]
+        assert {argv[0] for argv in TestArgumentGrid.grid()} == set(cli.build_parser().commands)
+        monkeypatch.setattr(cli.build_parser(), "commands", {})  # every line takes the full parse
+        for argv, expected in zip(argvs, dispatched):
+            assert execute(argv) == expected, argv

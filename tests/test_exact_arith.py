@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from paridhi.exact_arith import (
@@ -215,6 +215,25 @@ class TestScaledValue:
     def test_negative_scale_rejected(self):
         with pytest.raises(DomainError):
             ScaledValue(1, -1)
+
+    @given(ints, st.integers(min_value=0, max_value=50),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=60)))
+    @example(-7, 1, 0)  # -0.7 truncates toward zero to "-0"
+    @example(-35, 1, 3)  # more places than the scale: "-3.500"
+    @example(-1, 40, None)
+    @example(10**45 + 1, 40, 6)
+    def test_decimal_is_the_fraction_expansion(self, m, scale, places):
+        text = ScaledValue(m, scale).decimal(places)
+        places = scale if places is None else places
+        assert text == decimal_string(Fraction(m, 10**scale), places)
+        # and, independently of the shared integer core, a truncation toward zero
+        sign, digits = text[:1] == "-", text.lstrip("-")
+        assert sign == (m < 0) and len(digits.partition(".")[2]) == places
+        assert 0 <= abs(Fraction(m, 10**scale)) - Fraction(digits) < Fraction(1, 10**places)
+
+    def test_decimal_rejects_negative_places(self):
+        with pytest.raises(DomainError, match="places must be non-negative"):
+            ScaledValue(1, 2).decimal(-1)
 
 
 scales = st.integers(min_value=0, max_value=50)
