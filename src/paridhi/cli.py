@@ -26,7 +26,6 @@ from json.encoder import encode_basestring
 from .aryabhata_sqrt import SqrtTrace, isqrt, isqrt_nearest, isqrt_traced, sqrt_scaled
 from .exact_arith import DomainError, RoundingMode, ScaledValue, decimal_string, int_to_digits
 from .madhava_formulas import (
-    F1,
     F2,
     F3,
     F4,
@@ -191,24 +190,6 @@ def _worksheet(trace: SqrtTrace) -> str:
     return f"n = {trace.input}\n{table}root = {trace.root}\nremainder = {trace.remainder}\n"
 
 
-def _scan_all(
-    formula: FormulaId,
-    diameter: int,
-    n_from: int,
-    n_to: int,
-    final_code: str,
-    fmt: str = "table",
-    backend: str = "scaled",
-    frac_digits: int = 40,
-) -> str:
-    """The floor, nearest and one final-rounding scan side by side, one row per n."""
-    codes = ("floor", "nearest", final_code)
-    scans = [scan_range(formula, diameter, _make_policy(code, backend, frac_digits), n_from, n_to)
-             for code in codes]
-    rows = [[results[0].n, *(r.circumference for r in results)] for results in zip(*scans)]
-    return _write(fmt, ["n", *(code.replace("-", "_") for code in codes)], rows, _aligned)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -263,17 +244,18 @@ def _cmd_scan(args) -> str:
     if args.n_to - args.n_from >= MAX_SCAN_ROWS:
         raise DomainError(f"scan covers at most {MAX_SCAN_ROWS} rows")
     _check_cap("--to", args.n_to)  # its first row sums the whole head
-    if args.policy == "all":
-        final_code = f"final-{args.final_mode or 'nearest'}"
-        return _scan_all(
-            formula, args.diameter, args.n_from, args.n_to, final_code,
-            args.format, args.backend, args.frac_digits,
-        )
-    if args.final_mode is not None:
-        raise UsageError("--final-mode applies only to --policy all")
-    policy = _make_policy(args.policy, args.backend, args.frac_digits)
-    results = scan_range(formula, args.diameter, policy, args.n_from, args.n_to)
-    return _write_records(args.format, [r.record() for r in results], _result_table)
+    if args.policy != "all":
+        if args.final_mode is not None:
+            raise UsageError("--final-mode applies only to --policy all")
+        policy = _make_policy(args.policy, args.backend, args.frac_digits)
+        results = scan_range(formula, args.diameter, policy, args.n_from, args.n_to)
+        return _write_records(args.format, [r.record() for r in results], _result_table)
+    # the floor, nearest and one final-rounding scan side by side, one row per n
+    codes = ("floor", "nearest", f"final-{args.final_mode or 'nearest'}")
+    scans = [scan_range(formula, args.diameter, _make_policy(code, args.backend, args.frac_digits),
+                        args.n_from, args.n_to) for code in codes]
+    rows = [[results[0].n, *(r.circumference for r in results)] for results in zip(*scans)]
+    return _write(args.format, ["n", *(code.replace("-", "_") for code in codes)], rows, _aligned)
 
 
 def _cmd_fixed_point(args) -> str:
@@ -322,18 +304,25 @@ def _cmd_compare(args) -> str:
 def _reproduce_f3_fixed_points() -> str:
     rows = []
     for code in ("floor", "nearest", "final-nearest"):
-        policy = _make_policy(code)
-        report = fixed_point(F3(), TABLE_DIAMETER, policy, window=50, max_terms=10**4)
+        report = fixed_point(F3(), TABLE_DIAMETER, _make_policy(code))
         rows.append([report.policy, report.fixed_value, report.onset, report.method])
     return _aligned(["policy", "fixed_value", "onset", "method"], rows)
 
 
-_REPRODUCERS = {
+@functools.cache  # each reference table's command line is parsed once per process
+def _parsed(line: str) -> argparse.Namespace:
+    return build_parser().parse_args(line.split())
+
+
+_REPRODUCERS = {  # the three-policy tables are the output of these public `scan` lines
     "varman-ledger": lambda: _ledger_table(
         LEDGER_HEADERS, _ledger_rows(build_ledger(LEDGER_DIAMETER, FLOOR_EACH_OP))),
-    "table2": lambda: _scan_all(F1(), TABLE_DIAMETER, 18, 27, "final-floor"),
-    "table3": lambda: _scan_all(F2(CorrectionId.C3), TABLE_DIAMETER, 35, 65, "final-floor"),
-    "table-f4": lambda: _scan_all(F4(), TABLE_DIAMETER, 210, 250, "final-nearest"),
+    "table2": lambda: _cmd_scan(_parsed("scan --formula f1 --diameter 900000000000 "
+                                        "--from 18 --to 27 --policy all --final-mode floor")),
+    "table3": lambda: _cmd_scan(_parsed("scan --formula f2 --correction c3 --diameter 900000000000 "
+                                        "--from 35 --to 65 --policy all --final-mode floor")),
+    "table-f4": lambda: _cmd_scan(_parsed("scan --formula f4 --diameter 900000000000 "
+                                          "--from 210 --to 250 --policy all --final-mode nearest")),
     "f3-fixed-points": _reproduce_f3_fixed_points,
 }
 

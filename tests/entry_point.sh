@@ -20,6 +20,11 @@ has_line() { local out; out=$("${@:2}") || fail "exit code $?"; grep -qxF -- "$1
 fails_with() { exits 1 "${@:2}"; grep -qF -- "$1" "$tmp/err" || fail "stderr lacks $1"; }
 
 for t in varman-ledger table2 table3 table-f4 f3-fixed-points; do cli reproduce --table "$t" | cmp - "tests/golden/${t//-/_}.txt"; done
+for check in "table2:scan --formula f1 --diameter 900000000000 --from 18 --to 27 --policy all --final-mode floor" \
+             "table3:scan --formula f2 --correction c3 --diameter 900000000000 --from 35 --to 65 --policy all --final-mode floor" \
+             "table_f4:scan --formula f4 --diameter 900000000000 --from 210 --to 250 --policy all --final-mode nearest"; do
+  cli ${check#*:} | cmp - "tests/golden/${check%%:*}.txt"
+done
 cli sqrt --trace 987654321 | cmp - tests/golden/sqrt_trace.txt
 for f in f1 f2 f3 f4; do cli circumference --formula "$f" --diameter 900000000000 --terms 5 --policy floor --format json | grep -F "\"formula\": \"$f\"" > /dev/null; done
 exits 0 cli --help > /dev/null

@@ -773,17 +773,23 @@ class TestCaps:
 
 class TestReproduceGolden:
     @pytest.mark.parametrize(
-        "table,filename",
+        "line,filename",
         [
-            ("varman-ledger", "varman_ledger.txt"),
-            ("table2", "table2.txt"),
-            ("table3", "table3.txt"),
-            ("table-f4", "table_f4.txt"),
-            ("f3-fixed-points", "f3_fixed_points.txt"),
+            ("reproduce --table varman-ledger", "varman_ledger.txt"),
+            ("reproduce --table table2", "table2.txt"),
+            ("reproduce --table table3", "table3.txt"),
+            ("reproduce --table table-f4", "table_f4.txt"),
+            ("reproduce --table f3-fixed-points", "f3_fixed_points.txt"),
+            ("scan --formula f1 --diameter 900000000000 --from 18 --to 27 --policy all "
+             "--final-mode floor", "table2.txt"),
+            ("scan --formula f2 --correction c3 --diameter 900000000000 --from 35 --to 65 "
+             "--policy all --final-mode floor", "table3.txt"),
+            ("scan --formula f4 --diameter 900000000000 --from 210 --to 250 --policy all "
+             "--final-mode nearest", "table_f4.txt"),
         ],
     )
-    def test_byte_equal(self, table, filename):
-        code, out, err = run("reproduce", "--table", table)
+    def test_byte_equal(self, line, filename):
+        code, out, err = execute(line.split())
         assert code == 0, err
         assert out == (GOLDEN / filename).read_text(encoding="utf-8")
 

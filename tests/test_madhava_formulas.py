@@ -69,6 +69,30 @@ class TestCorrectionValue:
     def test_c2(self):
         assert correction_fraction(CorrectionId.C2, 3) == Fraction(3, 37)
 
+    @staticmethod
+    def convergents(n):
+        """The first three convergents P_k/Q_k of 1/(4n + 1^2/(n + 2^2/(4n + 3^2/(n + ...)))),
+        top down: P_k = b_k P_(k-1) + a_k P_(k-2), likewise Q_k, from P_(-1), P_0 = 1, 0 and
+        Q_(-1), Q_0 = 0, 1, with partial numerators a_k and partial denominators b_k."""
+        p_prev, p, q_prev, q = 1, 0, 0, 1
+        for a, b in ((1, 4 * n), (1**2, n), (2**2, 4 * n)):
+            p_prev, p = p, b * p + a * p_prev
+            q_prev, q = q, b * q + a * q_prev
+            yield Fraction(p, q)
+
+    @classmethod
+    def assert_corrections_are_convergents(cls, n):
+        corrections = [correction_fraction(c, n) for c in CorrectionId]
+        assert corrections == list(cls.convergents(n)), n
+
+    def test_corrections_are_the_convergents_up_to_2000(self):
+        for n in range(1, 2001):
+            self.assert_corrections_are_convergents(n)
+
+    @given(n=st.integers(2001, 10**30))
+    def test_corrections_are_the_convergents_for_large_n(self, n):
+        self.assert_corrections_are_convergents(n)
+
     def test_integer_policies_round_once(self):
         # F2 sums the same terms under every correction, so at odd n the
         # difference of two corrected sums is that of the two corrections,
