@@ -15,6 +15,7 @@ RoundingMode is the one place a mode becomes arithmetic: mode.div(n, d)
 rounds one quotient, and mode.sum_div(n, ds) sums the rounded quotients of n
 over a stream of divisors in one C-level map pass.  Under half-up that pass is
 (2n + d) // (2d) over two ranges when ds is a range, else Hermite's identity.
+mode.level(n, v) inverts div: the largest d whose rounded quotient is at least v.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ def nearest_div(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
+def iroot(x: int, p: int, r: int = 0) -> int:
+    """The s with s**p <= x < (s + 1)**p, for x >= 0, by Newton's step from r, any integer at
+    least s (else 2**ceil(bits / p)): from above, each step stays at or above s (AM-GM) and
+    falls until it is s."""
+    if x < 2:
+        return x
+    r = r or 1 << -(-x.bit_length() // p)
+    while (s := ((p - 1) * r + x // r ** (p - 1)) // p) < r:
+        r = s
+    return r
+
+
 def _floor_sum(n: int, ds: Iterable[int]) -> int:
     return sum(map(floordiv, repeat(n), ds))
 
@@ -72,16 +85,19 @@ def _nearest_sum(n: int, ds: Iterable[int]) -> int:
 
 class RoundingMode(enum.Enum):
     """A rounding rule: mode.div(n, d) is n/d rounded to an integer under it, for d > 0,
-    and mode.sum_div(n, ds) is the sum of mode.div(n, d) over the positive divisors ds."""
+    mode.sum_div(n, ds) is the sum of mode.div(n, d) over the positive divisors ds, and
+    mode.level(n, v), for v >= 1, is the largest d with mode.div(n, d) >= v."""
 
     FLOOR = "floor"
     NEAREST_HALF_UP = "nearest"
 
     def __init__(self, value: str) -> None:
-        # the only place a mode is turned into a division, or a bulk sum of them
+        # the only place a mode is turned into a division, a bulk sum of them, or their inverse
         floor = value == "floor"
         self.div = floor_div if floor else nearest_div
         self.sum_div = _floor_sum if floor else _nearest_sum
+        # floor: n // d >= v iff d <= n // v; half-up: (2n + d) // (2d) >= v iff d (2v - 1) <= 2n
+        self.level = floordiv if floor else lambda n, v: 2 * n // (2 * v - 1)
 
 
 def ratio_round(r: Fraction, mode: RoundingMode) -> int:

@@ -12,7 +12,14 @@ yields rows (n, m, c) under any arithmetic (series_engine's unit, split and
 sum_ratios): the partial sum m and a bound c on its error.  F2-F4 share
 _Formula.sums, whose first row sums the odd and the even positions in one
 bulk pass each and whose c counts the inexact divisions; F1 sums the terms
-of series_engine.root12_terms, the loop the varman ledger reads.  One reader,
+of series_engine.root12_terms, the loop the varman ledger reads.
+
+Under EachOp, F2-F4 count the first row's small rounded terms by level
+(Dirichlet's hyperbola switch, _Formula._levels): the terms whose rounded
+quotient reaches v are the first count(mode.level(N, v)), count being the
+inverse of denominators, so F3 divides only about (6D)^(1/4) of its terms
+and F4 (10D)^(1/6).  ExactFinal rows need each remainder and keep the
+plain passes.  One reader,
 _Formula.values, rounds the rows of every formula: the per-operation
 policies' m is the value; ExactFinal rounds each m, read once at the
 backend's digits within c of the exact sum, or else the backend's own sum.
@@ -25,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
-from .exact_arith import DomainError, round_enclosure
+from .exact_arith import DomainError, RoundingMode, iroot, round_enclosure
 from .series_engine import (
     Arithmetic,
     EachOp,
@@ -69,6 +76,9 @@ def correction_fraction(correction: CorrectionId, n: int) -> Fraction:
     return Fraction(n * n + 1, n * (4 * n * n + 5))
 
 
+_LEVEL_COST = 4  # bulk divisions (C-level map steps), about what one level's seeded root costs
+
+
 class _Formula:
     """leading*D + factor*D/d_1 - factor*D/d_2 + ...; F1-F4 set code and override the rest."""
 
@@ -102,11 +112,13 @@ class _Formula:
         """Yield (n, m, c) for n = n_from..n_to: m is leading*D + t_1 - t_2 + ... ± t_n in
         units of 1/a.unit, each t_k a quotient split by a, and c counts the inexact divisions,
         so the exact sum lies within c of m.  The first row sums the odd and the even
-        positions in one bulk pass each; later rows add a term."""
+        positions of its head in one bulk pass each, under EachOp only the head that _levels
+        leaves; later rows add a term."""
         numerator = self.factor * diameter * a.unit  # the same for every term
-        heads = (self.denominators(range(k, n_from + 1, 2)) for k in (1, 2))  # odd, even positions
+        k, levels = self._levels(numerator, a.mode, n_from) if a.mode else (n_from, 0)
+        heads = (self.denominators(range(j, k + 1, 2)) for j in (1, 2))  # odd, even positions
         (odd, c_odd), (even, c_even) = (a.sum_ratios(numerator, ds) for ds in heads)
-        m, c = self.leading * diameter * a.unit + odd - even, c_odd + c_even
+        m, c = self.leading * diameter * a.unit + odd - even + levels, c_odd + c_even
         yield n_from, m, c
         quotients = map(a.split, repeat(numerator), self.denominators(range(n_from + 1, n_to + 1)))
         for n, (q, r) in enumerate(quotients, n_from + 1):
@@ -114,6 +126,25 @@ class _Formula:
             if r:
                 c += 1
             yield n, m, c
+
+    def _levels(self, numerator: int, mode: RoundingMode, n: int) -> tuple[int, int]:
+        """(k0, s) with r_1 - r_2 + ... ± r_n = head(k0) + s, r_k the rounded terms and head(k0)
+        the bulk sum of the first k0.  Level v adds kappa(v) mod 2 to the alternating sum of
+        the first kappa(v) = count(mode.level(N, v)) terms, those with r_k >= v, so for any
+        W > r_n and k0 = kappa(W), s = r_n (n mod 2) + sum(kappa(v) mod 2, r_n < v <= W)
+        - W (k0 mod 2).  The walk up from r_n + 1 stops at the first level that stands for
+        fewer than _LEVEL_COST terms; level v stands for about kappa(v) / (p v) < n / v, p
+        the degree of d_k in k, so none does once r_n * _LEVEL_COST > n."""
+        r = mode.div(numerator, self.denominator(n))
+        if r * _LEVEL_COST > n:
+            return n, 0
+        v, k = r + 1, self.count(mode.level(numerator, r + 1), n)
+        s, width = r * (n & 1) + (k & 1), _LEVEL_COST  # the first level's width is partial
+        while k and width >= _LEVEL_COST:
+            v += 1
+            j = self.count(mode.level(numerator, v), k)  # its root starts from the last count
+            s, width, k = s + (j & 1), k - j, j
+        return k, s - v * (k & 1)
 
     def denominator(self, k: int) -> int:  # of the term at position k
         [d] = self.denominators(range(k, k + 1))
@@ -128,11 +159,11 @@ class _Formula:
         return onset, circumference(self, diameter, onset, policy).circumference
 
     def onset(self, diameter: int, policy: EachOp) -> int:
-        """The smallest n whose term, rounded by the policy's own division, is zero.  For F2
-        each correction is zero by then: 4D*F(n) <= D/n rounds to zero from n > D (floor) or
-        n > 2D (half-up), and the term 4D/(2n - 1) only from n = 2D + 1 or 4D + 1."""
-        numerator = self.factor * diameter
-        return _first(lambda n: policy.mode.div(numerator, self.denominator(n)) == 0)
+        """The smallest n whose term, rounded by the policy's own division, is zero: one past
+        the count of denominators at most the level of 1.  For F2 each correction is zero
+        by then: 4D*F(n) <= D/n rounds to zero from n > D (floor) or n > 2D (half-up), and
+        the term 4D/(2n - 1) only from n = 2D + 1 or 4D + 1."""
+        return self.count(policy.mode.level(self.factor * diameter, 1)) + 1
 
 
 @dataclass(frozen=True)
@@ -159,9 +190,12 @@ class F1(_Formula):
                 yield k, m, c
 
     def onset(self, diameter: int, policy: EachOp) -> int:
-        """The first k whose x_k, X/3^(k-1) rounded, is zero: the ledger's last row."""
-        root = self.top(diameter, policy)[0]
-        return _first(lambda k: policy.mode.div(root, 3 ** (k - 1)) == 0)
+        """The first k whose x_k, X/3^(k-1) rounded, is zero, as 3^(k-1) passes the level of
+        1: the ledger's last row."""
+        level, k, power = policy.mode.level(self.top(diameter, policy)[0], 1), 1, 1
+        while power <= level:
+            k, power = k + 1, power * 3
+        return k
 
 
 @dataclass(frozen=True)
@@ -177,6 +211,11 @@ class F2(_Formula):
 
     def denominators(self, ks: range) -> range:
         return range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
+
+    @staticmethod
+    def count(x: int, most: int = 0) -> int:
+        """How many denominators are at most x >= 0; most, if not 0, is at least that count."""
+        return x + 1 >> 1
 
     def sums(self, diameter: int, a: Arithmetic, n_from: int, n_to: int) -> Sums:
         """The sums of the terms, each with the correction 4D*F(n) attached with sign (-1)^n."""
@@ -203,6 +242,11 @@ class F3(_Formula):
         return map(mul, map(mul, range(lo, hi, step), range(lo + 1, hi + 1, step)),
                    range(lo + 2, hi + 2, step))
 
+    @staticmethod
+    def count(x: int, most: int = 0) -> int:  # as F2's: the odd b = 2k + 1 with b^3 - b <= x
+        b = iroot(x, 3, most and 2 * most + 2) + 1  # the largest b with b^3 - b <= x, or one more
+        return (b - 1 if b**3 - b > x else b) - 1 >> 1
+
 
 @dataclass(frozen=True)
 class F4(_Formula):
@@ -215,6 +259,11 @@ class F4(_Formula):
     def denominators(ks: range) -> Iterable[int]:  # b^5 + 4b = b (b^4 + 4), b = 2k - 1
         bs = range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
         return map(mul, bs, map(add, map(pow, bs, repeat(4)), repeat(4)))
+
+    @staticmethod
+    def count(x: int, most: int = 0) -> int:  # as F2's: the odd b = 2k - 1 with b^5 + 4b <= x
+        b = iroot(x, 5, most and 2 * most + 1)  # the largest b with b^5 + 4b <= x, or one more
+        return (b - 1 if b**5 + 4 * b > x else b) + 1 >> 1
 
 
 FormulaId = Union[F1, F2, F3, F4]
@@ -303,17 +352,6 @@ def vanish_onset(formula: FormulaId, diameter: int, policy: Policy) -> int:
     if diameter <= 0:
         raise DomainError("diameter must be positive")
     return formula.onset(diameter, policy)
-
-
-def _first(vanished: Callable[[int], bool]) -> int:
-    """The smallest n >= 1 with vanished(n), for a predicate that stays true once true."""
-    lo, hi = 0, 1  # the n lies in (lo, hi] once vanished(hi); n = 0 counts as not vanished
-    while not vanished(hi):
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:  # plain ints: a bisect over range(hi) overflows past sys.maxsize
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if vanished(mid) else (mid, hi)
-    return hi
 
 
 def _within(max_terms: int, bound: int, what: str) -> int:

@@ -26,6 +26,8 @@ nonzero only where a truncating division was inexact, and sum_ratios(n, ds)
 EachOp, mode.sum_div, one floordiv map for a range such as F2's divisors).
 value(m, e) makes a sum in units the policy's value (an int, a Fraction, or
 a ScaledValue within e ulps), and round rounds that value to an integer.
+mode is EachOp's RoundingMode, so sums of its quotients may be counted by
+level; it is None on the backends, whose sums need every remainder.
 arithmetic(policy) picks the object; policy.round(value) is round_final.
 """
 
@@ -75,6 +77,7 @@ class RationalBackend:
     frac_digits = 40  # the digits a formula's sums are read at before the exact sum
     round = staticmethod(ratio_round)
     unit = 1
+    mode = None
 
     @staticmethod
     def root_units(radicand: int) -> tuple[int, int, int]:
@@ -123,6 +126,7 @@ class ScaledBackend:
 
     unit = property(lambda self: 10**self.frac_digits)
     split = staticmethod(divmod)
+    mode = None
 
     @staticmethod
     def sum_ratios(n: int, ds: Iterable[int]) -> tuple[int, int]:

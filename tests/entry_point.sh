@@ -43,6 +43,8 @@ cli fixed-point --formula f3 --policy final-nearest --backend rational --diamete
   | python -c 'import json, sys; [r] = json.load(sys.stdin); sys.exit((r["fixed_value"], r["onset"], r["max_terms_examined"]) != (2827433388231, 8949, 8999))'
 exits 1 cli scan --formula f4 --diameter 900000000000 --from 1 --to 100001 --policy floor
 exits 1 cli fixed-point --formula f3 --policy floor --diameter 900000000000 --max-terms 1000001
+has_line "f3,,100000000000000000,floor,314159265358979298,368403,analytic-vanish,368403" cli fixed-point --formula f3 --diameter 100000000000000000 --max-terms 1000000 --policy floor --format csv
+has_line "f3,,100000000000000000,nearest,314159265358979357,464159,analytic-vanish,464159" cli fixed-point --formula f3 --diameter 100000000000000000 --max-terms 1000000 --policy nearest --format csv
 prints 2827433388231 timeout 20 python -m paridhi.cli circumference --formula f1 --diameter 900000000000 --terms 1000000 --policy final-nearest
 timeout 20 python -m paridhi.cli scan --formula f1 --diameter 900000000000 --from 1 --to 100000 --policy final-nearest > /dev/null
 exits 1 cli circumference --formula f1 --diameter 900000000000 --terms 5 --policy final-nearest --frac-digits 1001

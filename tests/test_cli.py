@@ -614,6 +614,17 @@ class TestFixedPointCommand:
         assert "fixed_value = 2827433388231" in out
         assert "onset = 235" in out
 
+    @pytest.mark.parametrize("policy,value,onset", [("floor", 314159265358979298, 368403),
+                                                    ("nearest", 314159265358979357, 464159)])
+    def test_f3_fixed_points_of_a_parardha(self, policy, value, onset):
+        # pinned from the sum of every term up to the onset; the first row now counts levels
+        code, out, err = run("fixed-point", "--formula", "f3", "--diameter", D17,
+                             "--max-terms", "1000000", "--policy", policy)
+        assert (code, err) == (0, "")
+        assert out == (f"formula = f3\ncorrection = \ndiameter = {D17}\npolicy = {policy}\n"
+                       f"fixed_value = {value}\nonset = {onset}\nmethod = analytic-vanish\n"
+                       f"max_terms_examined = {onset}\n")
+
     def test_f2_no_convergence(self):
         code, _, err = run("fixed-point", "--formula", "f2", "--diameter", D12,
                            "--policy", "nearest", "--max-terms", "2000")
@@ -690,7 +701,7 @@ class TestCaps:
         ],
     )
     def test_fixed_point_refuses_an_onset_past_sys_maxsize(self, formula, diameter, what, onset):
-        # the onset is found by bisection on plain ints, not over a C-sized range
+        # the onset is an exact count on plain ints, not a search over a C-sized range
         code, out, err = run("fixed-point", "--formula", formula, "--diameter", diameter,
                              "--policy", "floor")
         assert (code, out, err) == (1, "", "error: no convergence detected within 10000 terms; "

@@ -15,6 +15,7 @@ from paridhi.exact_arith import (
     digits_to_int,
     floor_div,
     int_to_digits,
+    iroot,
     nearest_div,
     ratio_round,
 )
@@ -97,6 +98,28 @@ class TestSumDiv:
         want = sum(mode.div(n, d) for d in r)
         assert mode.sum_div(n, r) == want
         assert mode.sum_div(n, iter(r)) == want
+
+
+class TestLevel:
+    @given(st.sampled_from([FLOOR, NEAREST]), st.integers(min_value=0, max_value=10**40),
+           st.integers(min_value=1, max_value=10**6))
+    @example(NEAREST, 5, 2)  # 5/2 rounds half-up to 3, 5/3 to 2: the level of 2 is 3
+    def test_level_is_the_largest_divisor_reaching_v(self, mode, n, v):
+        d = mode.level(n, v)
+        assert d == 0 or mode.div(n, d) >= v
+        assert mode.div(n, d + 1) < v
+
+
+class TestIroot:
+    @given(st.sampled_from([2, 3, 5]), st.integers(min_value=0, max_value=10**400),
+           st.integers(min_value=0, max_value=10**6))
+    @example(3, 26, 0)
+    @example(5, 2**5 - 1, 3)
+    def test_iroot_brackets_x(self, p, x, above):
+        r = iroot(x, p)
+        assert r**p <= x < (r + 1) ** p
+        if x >= 2:  # Newton from any integer at least the root lands on it too
+            assert iroot(x, p, r + above) == r
 
 
 class TestRatioCombine:

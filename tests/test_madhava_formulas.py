@@ -250,8 +250,9 @@ class TestVanishOnset:
         assert ratio_round(term(onset), mode) == 0
         assert onset == 1 or ratio_round(term(onset - 1), mode) >= 1
 
-    @pytest.mark.parametrize("diameter", [10**40, 10**60, 10**100])  # F3 from 10**60 and F4
-    @pytest.mark.parametrize("formula", [F3(), F4()])  # at 10**100 have onsets past sys.maxsize
+    @pytest.mark.parametrize("diameter", [10**40, 10**60, 10**100,  # F3 from 10**60 and F4
+                                          pytest.param(int("7" * 4000), id="4000-digits")])
+    @pytest.mark.parametrize("formula", [F3(), F4()])  # from 10**100 have onsets past sys.maxsize
     @pytest.mark.parametrize("mode", [FLOOR, NEAREST])
     def test_onset_of_a_huge_diameter(self, diameter, formula, mode):
         policy = FLOOR_EACH_OP if mode is FLOOR else NEAREST_EACH_OP
@@ -797,6 +798,89 @@ class TestBulkSums:
 
 
 ROUNDED_FORMULAS = [*(F2(c) for c in CorrectionId), F3(), F4()]  # the (m, c) readers
+
+
+LEVEL_FORMULAS = [F2C3, F3(), F4()]
+# diameters weighted to <= 10**6, where the level walk engages within 600 terms, up to 10**30
+LEVEL_DIAMETERS = st.one_of(st.integers(min_value=1, max_value=10**6),
+                            st.integers(min_value=1, max_value=10**30))
+
+
+def _plain_head(formula, numerator, mode, n):
+    """The first n rounded terms' alternating sum as two plain bulk passes, odd minus even."""
+    odd, even = (formula.denominators(range(k, n + 1, 2)) for k in (1, 2))
+    return mode.sum_div(numerator, odd) - mode.sum_div(numerator, even)
+
+
+class TestLevels:
+    """Under EachOp the first row counts its small rounded terms by level; it must equal the
+    plain sum of every term, wherever the split falls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LEVEL_FORMULAS), st.sampled_from([FLOOR, NEAREST]), LEVEL_DIAMETERS,
+           st.integers(min_value=1, max_value=600), st.sampled_from([None, 1, 2, 10**9]))
+    @example(F3(), FLOOR, 9 * 10**11, 600, None)
+    @example(F4(), NEAREST, 10**6, 1, None)
+    def test_the_first_row_is_the_plain_head(self, formula, mode, diameter, n, level_cost):
+        # the split moves with the level cost; 10**9 stops after the first level
+        policy = series_engine.EachOp(mode)
+        with pytest.MonkeyPatch.context() as patch:
+            if level_cost is not None:
+                patch.setattr(madhava_formulas, "_LEVEL_COST", level_cost)
+            [(_, m, c)] = madhava_formulas._Formula.sums(formula, diameter, policy, n, n)
+        head = _plain_head(formula, formula.factor * diameter, mode, n)
+        assert (m, c) == (formula.leading * diameter + head, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LEVEL_FORMULAS), st.sampled_from([FLOOR, NEAREST]), LEVEL_DIAMETERS,
+           st.integers(min_value=1, max_value=600), st.data())
+    def test_the_identity_holds_at_a_forced_split(self, formula, mode, diameter, n, data):
+        # head(k0) + (-1)^k0 (r_n ((n - k0) mod 2) + sum((kappa(v) - k0) mod 2 for v in
+        # r_n + 1..r_(k0 + 1))), kappa(v) = count(level(N, v)), for a split k0 in 0..n drawn
+        # from those with at most 10**4 levels, which from D = 10**6 on leaves out k0 = 0
+        numerator = formula.factor * diameter
+        r = [None] + [mode.div(numerator, formula.denominator(k)) for k in range(1, n + 1)]
+        lowest = next(k for k in range(n + 1) if k == n or r[k + 1] - r[n] <= 10**4)
+        k0 = data.draw(st.integers(min_value=lowest, max_value=n), label="k0")
+        top = r[k0 + 1] if k0 < n else r[n]
+        levels = sum((formula.count(mode.level(numerator, v)) - k0) % 2
+                     for v in range(r[n] + 1, top + 1))
+        tail = (-1) ** k0 * (r[n] * ((n - k0) % 2) + levels)
+        head = _plain_head(formula, numerator, mode, k0)
+        assert head + tail == _plain_head(formula, numerator, mode, n)
+
+    @given(st.sampled_from(LEVEL_FORMULAS), st.integers(min_value=1, max_value=10**200),
+           st.integers(min_value=0, max_value=10**6))
+    @example(F3(), 1, 0)
+    @example(F4(), 1, 0)
+    @example(F2C3, 1, 0)
+    def test_count_inverts_the_denominators(self, formula, k, spare):
+        # each count is checked bare and from a hint at least its value, as the walk passes
+        d = formula.denominator(k)
+        for x in (d - 1, d, d + 1):
+            want = k - (x < d)  # d_(k+1) > d_k + 1, so only d_1..d_k can be at most x
+            if k <= 2000:  # and a linear count agrees
+                assert sum(formula.denominator(j) <= x for j in range(1, k + 3)) == want
+            assert formula.count(x) == want
+            assert formula.count(x, want + spare) == want
+
+    def test_the_f3_fixed_point_of_a_parardha_divides_under_a_tenth_of_its_terms(
+            self, monkeypatch):
+        # The plain pass divides all 368403 terms up to the onset.  The level walk stops near
+        # (3/2 c D)^(1/4) terms, c the level cost: about 27800 (7.5 %) at c = 4, and under a
+        # tenth for any c up to 8; so a tenth fails only if the walk stops far too early.
+        divided = []
+
+        def sum_div(n, ds):
+            ds = list(ds)
+            divided.append(len(ds))
+            return plain(n, ds)
+
+        plain = FLOOR.sum_div
+        monkeypatch.setattr(FLOOR, "sum_div", sum_div)
+        report = fixed_point(F3(), 10**17, FLOOR_EACH_OP, max_terms=10**6)
+        assert (report.fixed_value, report.onset) == (314159265358979298, 368403)
+        assert 0 < sum(divided) <= 368403 // 10
 
 
 class _NarrowRational(RationalBackend):
