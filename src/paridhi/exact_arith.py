@@ -186,8 +186,7 @@ class ScaledValue:
         """
         if denom <= 0:
             raise DomainError("denominator must be positive")
-        mantissa, rem = divmod(numer * 10**scale, denom)
-        return cls(mantissa, scale, 1 if rem else 0)
+        return cls(numer * 10**scale, scale).div_int(denom)
 
     @property
     def error_bound(self) -> Fraction:
@@ -196,23 +195,15 @@ class ScaledValue:
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 10**self.scale)
 
-    def _aligned(self, other: "ScaledValue") -> tuple[int, int, int | Fraction, int]:
-        """Both mantissas and the summed error, in ulps of the larger scale."""
-        if self.scale == other.scale:
-            return self.mantissa, other.mantissa, self.error_ulps + other.error_ulps, self.scale
+    def __add__(self, other: "ScaledValue") -> "ScaledValue":
         # Rescaling upward is exact, so alignment never adds error.
         scale = max(self.scale, other.scale)
         up_self, up_other = 10 ** (scale - self.scale), 10 ** (scale - other.scale)
-        err = self.error_ulps * up_self + other.error_ulps * up_other
-        return self.mantissa * up_self, other.mantissa * up_other, err, scale
-
-    def __add__(self, other: "ScaledValue") -> "ScaledValue":
-        a, b, err, scale = self._aligned(other)
-        return ScaledValue(a + b, scale, err)
+        return ScaledValue(self.mantissa * up_self + other.mantissa * up_other, scale,
+                           self.error_ulps * up_self + other.error_ulps * up_other)
 
     def __sub__(self, other: "ScaledValue") -> "ScaledValue":
-        a, b, err, scale = self._aligned(other)
-        return ScaledValue(a - b, scale, err)
+        return self + ScaledValue(-other.mantissa, other.scale, other.error_ulps)
 
     def div_int(self, d: int) -> "ScaledValue":
         """Divide by a positive integer, truncating the mantissa.

@@ -133,11 +133,8 @@ class _Formula:
         the first kappa(v) = count(mode.level(N, v)) terms, those with r_k >= v, so for any
         W > r_n and k0 = kappa(W), s = r_n (n mod 2) + sum(kappa(v) mod 2, r_n < v <= W)
         - W (k0 mod 2).  The walk up from r_n + 1 stops at the first level that stands for
-        fewer than _LEVEL_COST terms; level v stands for about kappa(v) / (p v) < n / v, p
-        the degree of d_k in k, so none does once r_n * _LEVEL_COST > n."""
+        fewer than _LEVEL_COST terms; on a head of large quotients, r_n + 2, at two counts."""
         r = mode.div(numerator, self.denominator(n))
-        if r * _LEVEL_COST > n:
-            return n, 0
         v, k = r + 1, self.count(mode.level(numerator, r + 1), n)
         s, width = r * (n & 1) + (k & 1), _LEVEL_COST  # the first level's width is partial
         while k and width >= _LEVEL_COST:

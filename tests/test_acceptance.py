@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion (a pytest failure is the fail line).
 """
 
+import doctest
 import math
 import random
 import time
@@ -283,3 +284,10 @@ def test_criterion_12_property_suites():
             cases += 200
     assert cases == 1200
     print("PASS criterion 12: five randomized property suites (>= 1000 cases each)")
+
+
+def test_readme_quickstart_runs():
+    # README's library quickstart is a doctest block: each call must print the result shown
+    readme = Path(__file__).parents[1] / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False)
+    assert results.attempted and not results.failed

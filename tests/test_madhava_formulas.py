@@ -849,6 +849,19 @@ class TestLevels:
         head = _plain_head(formula, numerator, mode, k0)
         assert head + tail == _plain_head(formula, numerator, mode, n)
 
+    @pytest.mark.parametrize("mode", [FLOOR, NEAREST])
+    @pytest.mark.parametrize("formula, n", [(F2C3, 10**6), (F2C3, 40), (F3(), 5), (F4(), 5)])
+    def test_a_head_of_large_quotients_walks_one_level(self, monkeypatch, formula, n, mode):
+        # r_n * _LEVEL_COST > n: level r_n + 2 stands for under _LEVEL_COST terms, so the walk
+        # stops there, after one or two counts, and its split still gives the plain head
+        numerator = formula.factor * D
+        assert mode.div(numerator, formula.denominator(n)) * madhava_formulas._LEVEL_COST > n
+        calls = []
+        monkeypatch.setattr(type(formula), "count", staticmethod(_spy(formula.count, calls)))
+        [(_, m, c)] = madhava_formulas._Formula.sums(formula, D, series_engine.EachOp(mode), n, n)
+        assert 1 <= len(calls) <= 2
+        assert (m, c) == (formula.leading * D + _plain_head(formula, numerator, mode, n), 0)
+
     @given(st.sampled_from(LEVEL_FORMULAS), st.integers(min_value=1, max_value=10**200),
            st.integers(min_value=0, max_value=10**6))
     @example(F3(), 1, 0)
