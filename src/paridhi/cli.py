@@ -219,7 +219,7 @@ def _cmd_sqrt(args) -> str:
 def _cmd_varman(args) -> str:
     policy = _make_policy(args.policy, args.backend, args.frac_digits)
     _check_cap("--terms", args.terms)
-    if args.backend == "rational" and args.policy.startswith("final"):
+    if policy.backend == RationalBackend():
         _check_cap("--terms under a final policy on the rational backend", args.terms,
                    MAX_RATIONAL_LEDGER_TERMS)
     ledger = build_ledger(args.diameter, policy, args.terms)

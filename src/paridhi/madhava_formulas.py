@@ -1,9 +1,9 @@
 """Four attributed circumference formulas, correction terms, and convergence.
 
-Each formula class, F1-F4 for a circle of diameter D, carries its code,
-its terms, the exact multiple of D they are added to and, for F2, its
-correction and that correction's code.  The CLI builds formulas from the
-FORMULAS code table; only vanish_onset's input check tests a formula's type.
+Each formula class, F1-F4 for a circle of diameter D, carries its code, its
+terms, the exact multiple of D they are added to and, for F2, its correction
+and that correction's code.  The CLI builds formulas from the FORMULAS code
+table; only vanish_onset's input checks test a formula's or a policy's type.
 
 Every F2-F4 term is the exact integer factor*D divided by its denominator,
 built for a range of positions from ranges by C-level operator maps (F2's
@@ -38,11 +38,9 @@ from .exact_arith import DomainError, RoundingMode, iroot, round_enclosure
 from .series_engine import (
     Arithmetic,
     EachOp,
-    ExactFinal,
     Policy,
     ScaledBackend,
     TermValue,
-    arithmetic,
     root12_terms,
 )
 
@@ -91,7 +89,7 @@ class _Formula:
         if diameter <= 0:
             raise DomainError("diameter must be positive")
         top = self.top(diameter, policy)
-        if not isinstance(policy, ExactFinal):  # every quotient is already rounded
+        if policy.backend.mode:  # every quotient is already rounded
             yield from ((n, m) for n, m, _ in self.sums(top, policy, n_from, n_to))
             return
         backend, mode = policy.backend, policy.final_mode
@@ -172,7 +170,7 @@ class F1(_Formula):
     @staticmethod
     def top(diameter: int, policy: Policy) -> tuple[int, int, int]:
         """(X, e, unit): the policy's root of 12D^2 and its error bound, in units of 1/unit."""
-        return arithmetic(policy).root_units(12 * diameter * diameter)
+        return policy.backend.root_units(12 * diameter * diameter)
 
     def sums(self, top: tuple[int, int, int], a: Arithmetic, n_from: int, n_to: int) -> Sums:
         """Rows as in _Formula.sums of series_engine.root12_terms' t_k and its bound c; from
@@ -382,7 +380,7 @@ def fixed_point(
         raise DomainError("max_terms must be positive")
     if diameter <= 0:
         raise DomainError("diameter must be positive")
-    integer = isinstance(policy, EachOp)
+    integer = policy.backend.mode
     if integer and (settled := formula.analytic_fixed_point(diameter, policy, max_terms)):
         onset, value = settled
         return ConvergenceReport(

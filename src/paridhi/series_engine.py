@@ -17,7 +17,7 @@ handled:
                    floor root, first read at frac_digits = 40) or by
                    ScaledValue fixed point (root cut to frac_digits).
 
-Each EachOp and each ExactFinal backend carries its own arithmetic.
+Each policy carries its arithmetic as policy.backend; an EachOp is its own.
 root_units(radicand) is the root of 12D^2: (X, e, unit), X and its error
 bound e in units of 1/unit.  Sums are read through unit (10**s on
 ScaledBackend(s), else 1), split(n, d) -> (q, r), one quotient whose r is
@@ -26,9 +26,9 @@ nonzero only where a truncating division was inexact, and sum_ratios(n, ds)
 EachOp, mode.sum_div, one floordiv map for a range such as F2's divisors).
 value(m, e) makes a sum in units the policy's value (an int, a Fraction, or
 a ScaledValue within e ulps), and round rounds that value to an integer.
-mode is EachOp's RoundingMode, so sums of its quotients may be counted by
-level; it is None on the backends, whose sums need every remainder.
-arithmetic(policy) picks the object; policy.round(value) is round_final.
+mode, the per-operation switch, is EachOp's RoundingMode, whose sums may be
+counted by level, or None on the backends, whose sums need every remainder;
+policy.round(value) is round_final.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ class EachOp:
     mode: RoundingMode
     round = staticmethod(int)
     unit = 1
+    backend = property(lambda self: self)  # a per-operation policy is its own arithmetic
 
     def root_units(self, radicand: int) -> tuple[int, int, int]:
         # rem/(2 root + 1) rounds to the carry: under floor 0 (rem <= 2 root), half-up rem > root
@@ -189,11 +190,6 @@ class SeriesLedger:
     circumference: TermValue  # odd_sum - even_sum, exact under ExactFinal
 
 
-def arithmetic(policy: Policy) -> Arithmetic:
-    """The object that forms, sums and rounds values under the policy."""
-    return policy.backend if isinstance(policy, ExactFinal) else policy
-
-
 Terms = Iterator[tuple[TermValue, TermValue, Union[int, Fraction]]]  # (x_k, t_k, c)
 
 
@@ -233,21 +229,20 @@ def build_ledger(
     row carries e, O and E carry e times their row counts, and the
     circumference carries root12_terms' bound c: it is F1's sum and bound.
     """
+    a = policy.backend
     if max_terms is not None and max_terms < 1:
         raise DomainError("max_terms must be positive")
-    exact = isinstance(policy, ExactFinal)
-    if exact and max_terms is None:
+    if not a.mode and max_terms is None:
         raise DomainError("ExactFinal policy needs an explicit max_terms")
     if diameter <= 0:
         raise DomainError("diameter must be positive")
-    a = arithmetic(policy)
     top = a.root_units(12 * diameter * diameter)
     e, value, rows, sums = top[1], a.value, [], [0, 0]  # sums: odd, even positions
     ks = range(1, max_terms + 1) if max_terms else count(1)
     for k, (x, t, c) in zip(ks, root12_terms(top, a)):
         rows.append(LedgerRow(k, value(x, e), 1 if k % 2 else -1, value(t, e)))
         sums[k % 2 == 0] += t
-        if not (x or exact):
+        if a.mode and not x:
             break
     odd, even = sums
     return SeriesLedger(tuple(rows), value(odd, e * (k + 1 >> 1)), value(even, e * (k >> 1)),

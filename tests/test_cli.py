@@ -1,4 +1,6 @@
+import collections
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -767,6 +769,16 @@ class TestCaps:
         assert code == 0
         assert out.startswith(f"terms = {MAX_RATIONAL_LEDGER_TERMS}\n")
 
+    @pytest.mark.parametrize("policy,backend,terms", [("floor", "rational", 38),
+                                                      ("nearest", "rational", 39),
+                                                      ("final-nearest", "scaled", 4001)])
+    def test_the_rational_varman_cap_spares_other_policies_and_backends(self, policy, backend,
+                                                                         terms):
+        code, out, _ = run("varman", "--diameter", D17, "--policy", policy, "--backend", backend,
+                           "--terms", str(MAX_RATIONAL_LEDGER_TERMS + 1))
+        assert code == 0
+        assert out.startswith(f"terms = {terms}\n")
+
     def test_f1_at_the_terms_cap_is_quick(self):
         start = time.perf_counter()
         code, out, _ = run("circumference", "--formula", "f1", "--diameter", D12,
@@ -931,13 +943,29 @@ class TestArgumentGrid:
             yield ["reproduce", "--table", table]
 
     def test_every_command_exits_0_1_or_2_with_an_error_line(self):
+        """The grid and MALFORMED also hash to tests/golden/grid_digests.txt: one sha256 per
+        first argv token over repr((argv, code, stdout, stderr)), with the stderr of exit 2
+        left out, as argparse's usage text differs between Python versions."""
         codes = {0: 0, 1: 0, 2: 0}
-        for argv in self.grid():
-            code, out, err = execute(argv)
-            assert code in codes, argv
-            assert code == 0 or err.startswith("error:"), (argv, err)
-            codes[code] += 1
+        digests = collections.defaultdict(hashlib.sha256)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)  # exit-1 texts quote it
+        try:
+            for argv in [*self.grid(), *self.MALFORMED]:
+                code, out, err = execute(argv)
+                assert code in codes, argv
+                assert code == 0 or err.startswith("error:"), (argv, err)
+                codes[code] += 1
+                outcome = (argv, code, out, err if code != 2 else "")
+                digests[argv[0] if argv else "(empty)"].update(repr(outcome).encode())
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert min(codes.values()) > 0
+        golden = dict(map(str.split, (GOLDEN / "grid_digests.txt").read_text().splitlines()))
+        digests = {command: digest.hexdigest() for command, digest in digests.items()}
+        moved = sorted(command for command in golden.keys() | digests.keys()
+                       if golden.get(command) != digests.get(command))
+        assert not moved, f"the outcomes of {', '.join(moved)} moved"
 
     @pytest.mark.parametrize("argv", MALFORMED)
     def test_malformed_command_lines_are_usage_errors(self, argv):

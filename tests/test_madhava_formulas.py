@@ -41,7 +41,6 @@ from paridhi.series_engine import (
     ExactFinal,
     RationalBackend,
     ScaledBackend,
-    arithmetic,
 )
 
 D = 9 * 10**11
@@ -597,7 +596,7 @@ def _row_by_row(formula, diameter, policy, n):
     """The circumference of n terms, each formed on its own in the policy's arithmetic
     (a ScaledValue, a Fraction or the policy's rounded ratio) and added one at a time,
     F2's correction attached, with only the sum of all n rounded."""
-    a = arithmetic(policy)
+    a = policy.backend
     if isinstance(a, ScaledBackend):
         def ratio(p, q):
             return ScaledValue.from_ratio(p, q, a.frac_digits)
@@ -622,7 +621,7 @@ def _ledger_outcomes(diameter, policy, n):
     """F1's circumference of each n' in 1..n from the typed chain's rows summed one at a time,
     or the message of the RoundingUndecidableError it raises; past an integer ledger's last
     row the sum repeats."""
-    total, outcomes = arithmetic(policy).value(0), []
+    total, outcomes = policy.backend.value(0), []
     for row in islice(ledger_oracle.rows(diameter, policy), n):
         total = total + row.t if row.k % 2 else total - row.t
         outcomes.append(_outcome(lambda: policy.round(total)))
@@ -789,7 +788,7 @@ class TestBulkSums:
     def test_f1_reads_the_ledgers_values(self, policy, diameter, n):
         ledger = _ledger_outcomes(diameter, policy, n)
         f1 = _row_outcomes(F1(), diameter, policy, 1, n)
-        if not isinstance(arithmetic(policy), ScaledBackend):
+        if not isinstance(policy.backend, ScaledBackend):
             assert f1 == ledger
             return
         # its bound is never wider than the ledger's: it decides every row the ledger decides

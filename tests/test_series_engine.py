@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paridhi.exact_arith import DomainError, RoundingMode, RoundingUndecidableError, ScaledValue
+from paridhi.madhava_formulas import F3, AnalyticVanish, WindowedScan, fixed_point
 from paridhi.series_engine import (
     FLOOR_EACH_OP,
     NEAREST_EACH_OP,
@@ -137,6 +138,28 @@ class TestEachOp:
         r0 = math.isqrt(radicand)
         assert EachOp(FLOOR).root_units(radicand) == (r0, 0, 1)
         assert EachOp(NEAREST).root_units(radicand) == (r0 + (radicand - r0 * r0 > r0), 0, 1)
+
+
+SWITCH_POLICIES = [FLOOR_EACH_OP, NEAREST_EACH_OP,
+                   *(ExactFinal(mode, backend) for mode in (FLOOR, NEAREST)
+                     for backend in (RationalBackend(), ScaledBackend(40)))]
+
+
+@pytest.mark.parametrize("policy", SWITCH_POLICIES, ids=str)
+def test_the_backends_mode_is_the_per_operation_switch(policy):
+    # a per-operation policy is its own arithmetic; only its arithmetic carries a mode
+    each_op = isinstance(policy, EachOp)
+    assert (policy.backend is policy) == each_op
+    assert (policy.backend.mode is None) == (not each_op)
+    if policy.backend.mode:
+        assert build_ledger(7, policy).rows[-1].x == 0  # the ledger stops at its first zero x
+    else:
+        with pytest.raises(DomainError, match="needs an explicit max_terms"):
+            build_ledger(7, policy)
+    report = fixed_point(F3(), 7, policy)
+    expected = {"floor": (AnalyticVanish(), 2, 22), "nearest": (AnalyticVanish(), 2, 22),
+                "final-floor": (WindowedScan(50), 4, 21), "final-nearest": (WindowedScan(50), 1, 22)}
+    assert (report.method, report.onset, report.fixed_value) == expected[str(policy)]
 
 
 def test_diameter_must_be_positive():
