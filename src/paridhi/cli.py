@@ -7,9 +7,12 @@ floating point.
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 
 A command line that starts with a known command is parsed by that command's own
-sub-parser; anything else goes through the top-level parser. JSON output is
-the text of json.dumps(records, ensure_ascii=False, indent=2), built per record
-from key prefixes made once and values encoded at C level.
+sub-parser; anything else goes through the top-level parser. A sub-parser reads
+exact flags, values not starting with '-' and one run of positionals from its own
+argparse tables; argparse parses every other line, so every error, help text,
+abbreviation and '=' form is its own. JSON output is the text of json.dumps(records,
+ensure_ascii=False, indent=2), built per record from key prefixes made once and
+values encoded at C level.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ MAX_SCAN_ROWS, MAX_TERMS_CAP = 10**5, 10**6  # caps on `scan` rows; `--terms`, `
 MAX_FRAC_DIGITS = 1000  # cap on a series' --frac-digits: each term's work grows with the digits
 MAX_RATIONAL_LEDGER_TERMS = 4000  # cap on exact `varman` rows: its Fraction sums grow quadratically
 MAX_SQRT_FRAC_DIGITS = 10**4  # cap on `sqrt --frac-digits` where the int/str limit is off or n = 0
+_PLAIN_INT = re.compile(r"-?[0-9]+").fullmatch  # the one spelling of an integer argument
 
 
 class UsageError(Exception):
@@ -68,9 +72,53 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from calling sys.exit directly
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        exact = None if args is None or namespace is not None else _parse_exact(self, args)
+        return super().parse_args(args, namespace) if exact is None else exact
+
+
+def _parse_exact(parser: argparse.ArgumentParser, args: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace for a line of flags spelled in full, each store flag followed by a
+    value not starting with '-', and one run of positionals; else None, also on a failed check."""
+    seen, run, gap, tokens = {}, [], False, iter(args)
+
+    def read(action, text):  # argparse's type conversion and choices check
+        parser._check_value(action, value := parser._get_value(action, text))
+        return value
+
+    try:
+        for text in tokens:
+            action = parser._option_string_actions.get(text)
+            if action is None:  # '--', '--flag=value', an abbreviation, '-5' or a split run
+                if text.startswith("-") or gap:
+                    return None
+                run.append(text)
+            elif type(action) is argparse._StoreTrueAction:
+                seen[action], gap = True, bool(run)
+            elif type(action) is argparse._StoreAction and action.nargs is None and not (
+                    value := next(tokens, "-")).startswith("-"):
+                seen[action], gap = read(action, value), bool(run)
+            else:  # -h, --help, a flag without its value
+                return None
+        for action in parser._get_positional_actions():  # one value each, or the rest for '+'
+            if not run or action.nargs not in (None, "+"):
+                return None
+            taken, run = (run, []) if action.nargs else (run[:1], run[1:])
+            values = [read(action, text) for text in taken]
+            seen[action] = values if action.nargs else values[0]
+    except argparse.ArgumentError:
+        return None
+    if run or any(action.required and action not in seen for action in parser._actions):
+        return None
+    # the defaults as parse_known_args sets them; no str default here has a type to apply
+    names = {action.dest: action.default for action in parser._actions
+             if action not in seen and argparse.SUPPRESS not in (action.dest, action.default)}
+    names.update((action.dest, value) for action, value in seen.items())
+    return argparse.Namespace(**{**parser._defaults, **names})
+
 
 def _plain_int(text: str) -> int:
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not _PLAIN_INT(text):
         raise argparse.ArgumentTypeError(
             f"plain decimal integer required (no exponents or dots): {text[:20]!r}"
         )

@@ -61,6 +61,9 @@ prints 2827433388233 cli decode --system bhutasamkhya vibudha netra gaja ahi hut
 prints "$(printf '%s\n' 'matching_decimal_places = 17' 'true_floor = 314159265358979323' 'true_nearest = 314159265358979324' 'error_vs_floor = +1' 'error_vs_nearest = +0')" cli compare --circumference 314159265358979324 --diameter 100000000000000000
 prints "$(printf '%s\n' 'matching_decimal_places = 10' 'true_floor = 2827433388230' 'true_nearest = 2827433388231' 'error_vs_floor = +3' 'error_vs_nearest = +2')" cli compare --circumference 2827433388233 --diameter 900000000000
 prints "kha ka" cli encode 12
+# onset's own action table reads the first line; argparse reads the '=' form and the abbreviation
+prints 7663 cli onset --formula f3 --policy floor --diameter 900000000000
+prints 7663 cli onset --formula=f3 --pol floor --diameter 900000000000
 prints 82 cli decode --system bhutasamkhya NETRA " Gaja"
 prints "ña ka kha ga gha ṅa ca cha ja jha" cli encode 9876543210
 out=$(cli decode --system katapayadi $(printf 'kha %.0s' $(seq 5000))); [ "${#out}" -eq 5000 ]

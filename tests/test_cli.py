@@ -1,3 +1,4 @@
+import argparse
 import collections
 import csv
 import hashlib
@@ -980,7 +981,13 @@ class TestDispatch:
 
     EDGE = [["--help"], ["-h"], ["varman", "--help"], ["varman", "--he"], ["--"],
             ["--", "sqrt", "4"], ["sqrt", "--", "-4"], ["sqr", "4"], ["Sqrt", "4"],
-            ["sqrt", "4", "extra"]]
+            ["sqrt", "4", "extra"], ["varman", "--diameter", D12, "--diameter", "5"],
+            ["varman", f"--diameter={D12}"],
+            ["onset", "--formula", "f3", "--pol", "floor", "--diameter", D12],
+            ["decode", "ka", "--system", "katapayadi", "kha"], ["sqrt", "81", "--trace", "x"],
+            ["compare", "--circumference", "-5", "--diameter", D12], ["varman", "--diameter", ""],
+            ["varman", "--ledger", "--ledger", "--diameter", D12], ["varman", "-h"],
+            ["decode", "--system", "katapayadi", "--lexicon", "-x", "ka"]]
 
     def test_sub_parser_dispatch_matches_the_full_parse(self, monkeypatch):
         argvs = [*TestArgumentGrid.grid(), *TestArgumentGrid.MALFORMED, *self.EDGE]
@@ -989,3 +996,29 @@ class TestDispatch:
         monkeypatch.setattr(cli.build_parser(), "commands", {})  # every line takes the full parse
         for argv, expected in zip(argvs, dispatched):
             assert execute(argv) == expected, argv
+
+    def test_the_exact_read_gives_argparse_s_namespace(self):
+        """_parse_exact reads a line as argparse's own parse_args does, or leaves it to it."""
+        parser = cli.build_parser()
+        exact = 0
+        for argv in [*TestArgumentGrid.grid(), *TestArgumentGrid.MALFORMED, *self.EDGE]:
+            assert cli._parse_exact(parser, argv) is None, argv  # the sub-command positional
+            sub = parser.commands.get(argv[0]) if argv else None
+            namespace = cli._parse_exact(sub, argv[1:]) if sub else None
+            if namespace is not None:
+                assert vars(namespace) == vars(argparse.ArgumentParser.parse_args(sub, argv[1:]))
+                exact += 1
+        assert exact > 6000
+
+    def test_common_lines_need_no_argparse_parse(self, monkeypatch):
+        argvs = [["circumference", "--formula", "f2", "--diameter", D12, "--terms", "40",
+                  "--policy", "final-nearest", "--backend", "rational", "--format", "json"],
+                 ["decode", "--system", "katapayadi", *PHRASE]]
+        expected = [execute(argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a line the exact read should take")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        assert [execute(argv) for argv in argvs] == expected
+        assert expected[0][0] == expected[1][0] == 0

@@ -41,6 +41,7 @@ from paridhi.series_engine import (
     ExactFinal,
     RationalBackend,
     ScaledBackend,
+    varman_circumference,
 )
 
 D = 9 * 10**11
@@ -573,6 +574,51 @@ class TestOracle:
         except RoundingUndecidableError:
             return
         assert scaled.circumference == want[-1]
+
+
+class TestF1ClosedForm:
+    """F1 at n terms is sqrt(12 D^2) p/q, p/q = sum over k <= n of (-1)^(k+1)/(3^(k-1)(2k-1)):
+    every row the scaled backend decides is that value rounded once."""
+
+    @staticmethod
+    def _closed_forms(diameter, n, mode):
+        total, forms = Fraction(0), []
+        for k in range(1, n + 1):
+            total += Fraction((-1) ** (k + 1), 3 ** (k - 1) * (2 * k - 1))
+            p, q = total.numerator, total.denominator
+            forms.append(math.isqrt(12 * diameter**2 * p**2) // q if mode is FLOOR
+                         else (math.isqrt(48 * diameter**2 * p**2) + q) // (2 * q))
+        return forms
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**30),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([0, 2, 6, 40]),
+        st.sampled_from([FLOOR, NEAREST]),
+    )
+    @example(1, 2, 40, FLOOR)  # 3: the true root, where the rational backend's floor root gives 2
+    def test_every_decided_scaled_row_is_the_closed_form(self, diameter, n, frac_digits, mode):
+        policy = ExactFinal(mode, ScaledBackend(frac_digits))
+        want = self._closed_forms(diameter, n, mode)
+        rows = []
+        for k in range(1, n + 1):
+            try:
+                rows.append(circumference(F1(), diameter, k, policy).circumference)
+            except RoundingUndecidableError:
+                rows.append(None)
+            try:
+                assert varman_circumference(diameter, policy, k) == rows[-1]
+            except RoundingUndecidableError:
+                assert rows[-1] is None
+        assert [row for row in rows if row is not None] == [
+            form for form, row in zip(want, rows) if row is not None]
+        try:
+            scan = [r.circumference for r in scan_range(F1(), diameter, policy, 1, n)]
+        except RoundingUndecidableError:
+            assert None in rows
+        else:
+            assert scan == want
 
 
 # the four arithmetics; scaled at 0-6 digits, where undecidable roundings occur
