@@ -4,13 +4,13 @@ Every integer argument and flag is read as a plain decimal integer (ASCII
 digits with an optional leading '-'); exponents, dots, underscores, '+',
 spaces and non-ASCII digits are rejected, so no value ever passes through
 floating point.
-Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
+Exit codes: 0 success, 1 domain error (message on stderr) or a closed stdout,
+2 usage error.
 
-A command line that starts with a known command is parsed by that command's own
-sub-parser; anything else goes through the top-level parser. A sub-parser reads
-exact flags, values not starting with '-' and one run of positionals from its own
-argparse tables; argparse parses every other line, so every error, help text,
-abbreviation and '=' form is its own. JSON output is the text of json.dumps(records,
+A known command's line of exact flags, values not starting with '-' and one run of
+positionals is read from that command's sub-parser's own argparse tables; the
+top-level parser parses every other line, so every error, help text, abbreviation
+and '=' form is argparse's own. JSON output is the text of json.dumps(records,
 ensure_ascii=False, indent=2), built per record from key prefixes made once and
 values encoded at C level.
 """
@@ -21,6 +21,7 @@ import argparse
 import csv
 import functools
 import io
+import os
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -71,10 +72,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from calling sys.exit directly
         raise UsageError(message)
-
-    def parse_args(self, args=None, namespace=None):
-        exact = None if args is None or namespace is not None else _parse_exact(self, args)
-        return super().parse_args(args, namespace) if exact is None else exact
 
 
 def _parse_exact(parser: argparse.ArgumentParser, args: list[str]) -> argparse.Namespace | None:
@@ -481,7 +478,7 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
     captured_out, captured_err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(captured_out), redirect_stderr(captured_err):
-            args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
+            args = (_parse_exact(sub, argv[1:]) if sub else None) or parser.parse_args(argv)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0), captured_out.getvalue(), captured_err.getvalue()
     except UsageError as exc:
@@ -502,10 +499,13 @@ def execute(argv: list[str]) -> tuple[int, str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     code, out, err = execute(sys.argv[1:] if argv is None else argv)
-    if out:
+    try:
         sys.stdout.write(out)
-    if err:
-        sys.stderr.write(err)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader is gone; devnull keeps the exit flush from failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    sys.stderr.write(err)
     return code
 
 

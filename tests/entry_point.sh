@@ -30,6 +30,8 @@ for f in f1 f2 f3 f4; do cli circumference --formula "$f" --diameter 90000000000
 exits 0 cli --help > /dev/null
 exits 2 cli
 exits 2 cli frobnicate
+# a stdout whose reader is gone before the command writes: exit 1 and nothing on stderr
+exits 1 python -c 'import os, subprocess, sys; r, w = os.pipe(); os.close(r); sys.exit(subprocess.run(sys.argv[1:], stdout=w).returncode)' python -m paridhi.cli reproduce --table table3; [ ! -s "$tmp/err" ] || fail "stderr is not empty"
 cli varman --diameter 100000000000000000 --policy final-nearest --terms 38 --ledger --format json > "$tmp/ledger.json"; python -c 'import json, sys; print(json.dumps(json.load(sys.stdin), ensure_ascii=False, indent=2))' < "$tmp/ledger.json" | cmp - "$tmp/ledger.json"
 exits 1 cli varman --diameter 0
 exits 1 cli varman --diameter 100 --policy nearest --frac-digits -3

@@ -6,14 +6,17 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from paridhi import cli
@@ -71,6 +74,18 @@ class TestExitCodes:
         monkeypatch.setattr(sys, "argv", ["paridhi", "sqrt", "81"])
         assert cli.main() == 0
         assert capsys.readouterr() == ("root = 9\nremainder = 0\n", "")
+
+    def test_a_closed_stdout_is_1_without_a_traceback(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        try:
+            done = subprocess.run([sys.executable, "-m", "paridhi.cli", "reproduce", "--table",
+                                   "table3"], stdout=write, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     def test_usage_error_is_2(self):
         code, _, err = run("frobnicate")
@@ -976,8 +991,9 @@ class TestArgumentGrid:
 
 
 class TestDispatch:
-    """execute parses a command line that starts with a known command by that command's
-    sub-parser alone; it must give what the full top-level parse gives, byte for byte."""
+    """execute reads a command line that starts with a known command from that command's
+    sub-parser's tables where it can; it must give what the full top-level parse gives, byte
+    for byte."""
 
     EDGE = [["--help"], ["-h"], ["varman", "--help"], ["varman", "--he"], ["--"],
             ["--", "sqrt", "4"], ["sqrt", "--", "-4"], ["sqr", "4"], ["Sqrt", "4"],
@@ -1022,3 +1038,69 @@ class TestDispatch:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
         assert [execute(argv) for argv in argvs] == expected
         assert expected[0][0] == expected[1][0] == 0
+
+
+BAD_VALUES = ["1e3", "+5", "\u0663", "bogus", "-5", ""]
+
+
+@st.composite
+def sub_parser_lines(draw):
+    """A sub-parser and a line for it: its flags in any order, some left out and some repeated,
+    each value a choice, a plain integer or, one time in eight, a bad value, and the positional
+    run at any flag boundary."""
+    sub = draw(st.sampled_from(list(cli.build_parser().commands.values())))
+
+    def value(action):
+        if not draw(st.integers(0, 7)):
+            return draw(st.sampled_from(BAD_VALUES))
+        if action.choices:
+            return draw(st.sampled_from(list(action.choices)))
+        return str(draw(st.integers(-10, 10**20))) if action.type else draw(st.sampled_from(PHRASE))
+
+    def flag(text):
+        action = sub._option_string_actions[text]
+        return [text] if action.nargs == 0 or not draw(st.integers(0, 9)) else [text, value(action)]
+
+    options = [a.option_strings[-1] for a in sub._actions if a.option_strings and a.dest != "help"]
+    texts = [text for text in draw(st.permutations(options)) if draw(st.integers(0, 7))]
+    for _ in range(draw(st.integers(0, 2))):  # a repeated flag, or -h or --help
+        texts.insert(draw(st.integers(0, len(texts))),
+                     draw(st.sampled_from(sorted(sub._option_string_actions))))
+    run = [value(action) for action in sub._get_positional_actions()
+           for _ in range(1 if action.nargs is None else draw(st.integers(0, 3)))]
+    flags = [flag(text) for text in texts]
+    at = draw(st.integers(0, len(flags)))
+    return sub, [token for tokens in flags[:at] for token in tokens] + run + [
+        token for tokens in flags[at:] for token in tokens]
+
+
+class TestExactRead:
+    """_parse_exact reads a line as argparse's own parse does, or declines it; and every line
+    declined goes to the top-level parser, never to a sub-parser's own parse_args."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sub_parser_lines())
+    def test_an_exact_read_is_argparse_s_namespace(self, drawn):
+        sub, argv = drawn
+        exact = cli._parse_exact(sub, argv)
+        event("declined" if exact is None else "exact read")
+        try:
+            with redirect_stdout(io.StringIO()):  # -h prints its help, then exits
+                namespace = argparse.ArgumentParser.parse_args(sub, argv)
+        except (cli.UsageError, SystemExit):
+            assert exact is None, argv
+        else:
+            assert exact is None or vars(exact) == vars(namespace), argv
+
+    def test_only_the_top_level_parser_runs_parse_args(self, monkeypatch):
+        parse_args, seen = argparse.ArgumentParser.parse_args, []
+
+        def recording(self, *args, **kwargs):
+            seen.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for argv in [*TestArgumentGrid.MALFORMED, *TestDispatch.EDGE]:
+            execute(argv)
+        assert len(seen) > len(TestArgumentGrid.MALFORMED)
+        assert all(parser is cli.build_parser() for parser in seen)

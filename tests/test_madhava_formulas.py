@@ -620,6 +620,21 @@ class TestF1ClosedForm:
         else:
             assert scan == want
 
+    def test_the_two_exact_final_readings_differ_on_a_pinned_grid(self):
+        """The scaled backend rounds sqrt(12 D^2) p/q read to 40 digits; the rational backend
+        sums from the floor root of 12 D^2. Over D = 1..100, n = 1..40 and both modes, neither
+        refuses a row, and they differ on 3561 of the 8000 rows, in 157 of the 200 (mode, D)
+        pairs, so a change to either reading shows here."""
+        rows = differ = pairs = 0
+        for mode in (FLOOR, NEAREST):
+            for diameter in range(1, 101):
+                scaled, rational = ([r.circumference for r in scan_range(
+                    F1(), diameter, ExactFinal(mode, backend), 1, 40)]
+                    for backend in (ScaledBackend(40), RationalBackend()))
+                apart = sum(a != b for a, b in zip(scaled, rational, strict=True))
+                rows, differ, pairs = rows + len(scaled), differ + apart, pairs + (apart > 0)
+        assert (rows, differ, pairs) == (8000, 3561, 157)
+
 
 # the four arithmetics; scaled at 0-6 digits, where undecidable roundings occur
 EVERY_POLICY = [FLOOR_EACH_OP, NEAREST_EACH_OP] + [
